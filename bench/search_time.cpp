@@ -15,12 +15,10 @@
 #include <thread>
 
 #include "api/service.hpp"
-#include "cost/breakdown_reduce.hpp"
 #include "eval/cost_evaluator.hpp"
 #include "net/schedule_cache.hpp"
 #include "sim/trainer_sim.hpp"
 #include "solver/dls_solver.hpp"
-#include "solver/portfolio.hpp"
 #include "solver/strategy_space.hpp"
 
 using namespace temp;
@@ -359,7 +357,7 @@ warmStartSection(const char *name)
 
 /**
  * The portfolio section: the engine race under SolveBudget quantum
- * caps. Three experiments, bars enforced through the exit code:
+ * caps. Two experiments, bars enforced through the exit code:
  *
  *  - win rates: the portfolio raced on several models; per-engine
  *    EngineAccounts say who won each race, and the portfolio's answer
@@ -369,10 +367,6 @@ warmStartSection(const char *name)
  *  - best-found-vs-budget curve: the same race under growing quantum
  *    caps. A budgeted run is the bit-exact prefix of the unbudgeted
  *    one, so the incumbent must improve monotonically with budget.
- *  - exact-vs-heuristic gap: the ExactChainEngine's branch-and-bound
- *    against the ExhaustiveSolver on a chain both can finish — they
- *    must agree bit-for-bit — plus the DP plan's certified additive
- *    optimality gap.
  */
 int
 portfolioSection(const sim::TrainingSimulator &sim)
@@ -501,82 +495,6 @@ portfolioSection(const sim::TrainingSimulator &sim)
     bar(previous <= unbudgeted.step_time_s * 1.0001 &&
             previous >= unbudgeted.step_time_s * 0.9999,
         "full-budget run matches the unbudgeted answer");
-
-    // --- Exact vs exhaustive, and the certified DP gap. ---
-    solver::StrategySpaceOptions space;
-    space.allow_sp = false;
-    space.allow_cp = false;
-    constexpr int kOps = 4;
-    solver::ExhaustiveSolver exhaustive(sim, space);
-    const solver::SolverResult ex =
-        exhaustive.solve(graph, kOps, /*time_budget_s=*/60.0);
-
-    const std::vector<parallel::ParallelSpec> candidates =
-        solver::enumerateStrategies(sim.wafer().dieCount(),
-                                    graph.config(), space);
-    eval::ExactEvaluator evaluator(sim.costModel());
-    std::vector<eval::EvalRequest> requests;
-    for (int i = 0; i < kOps; ++i)
-        for (const parallel::ParallelSpec &spec : candidates)
-            requests.push_back({i, spec, true});
-    const std::vector<cost::OpCostBreakdown> cells =
-        evaluator.evaluateBatch(graph, requests);
-    std::vector<double> totals(cells.size());
-    cost::breakdownTotals(cells, totals.data());
-    std::vector<std::vector<double>> op_cost(kOps);
-    for (int i = 0; i < kOps; ++i) {
-        const double *row =
-            totals.data() + static_cast<std::size_t>(i) *
-                                candidates.size();
-        op_cost[i].assign(row, row + candidates.size());
-    }
-    const solver::ExactChainEngine::BnbResult bnb =
-        solver::ExactChainEngine::branchAndBound(
-            graph, candidates, op_cost, sim.costModel(),
-            solver::ExactChainEngine::kMaxNodes);
-
-    // The DP's additive cost on the same truncated chain, certified
-    // against the exact optimum: the heuristic optimality gap.
-    solver::SolverConfig dp_cfg;
-    dp_cfg.space = space;
-    dp_cfg.engine = solver::SearchEngineKind::NoRefine;
-    const solver::SolverResult dp =
-        solver::DlsSolver(sim, dp_cfg).solve(graph);
-    double dp_additive = 0.0;
-    for (int i = 0; i < kOps; ++i) {
-        std::size_t chosen = 0;
-        for (std::size_t s = 0; s < candidates.size(); ++s)
-            if (candidates[s] == dp.per_op_specs[i]) {
-                chosen = s;
-                break;
-            }
-        dp_additive += op_cost[i][chosen];
-        if (i > 0 && !(dp.per_op_specs[i - 1] == dp.per_op_specs[i]))
-            dp_additive += sim.costModel().interOpTime(
-                graph.op(i - 1), dp.per_op_specs[i - 1],
-                dp.per_op_specs[i]);
-    }
-    const double gap =
-        bnb.additive_cost > 0.0
-            ? dp_additive / bnb.additive_cost - 1.0
-            : 0.0;
-    std::printf("Exact certification (%d-op chain): exhaustive %.9f s, "
-                "B&B %.9f s (%ld nodes), DP additive %.9f s "
-                "(gap %.4f%%)\n",
-                kOps, ex.step_time_s, bnb.additive_cost, bnb.nodes,
-                dp_additive, gap * 100.0);
-    std::printf("BENCH_JSON {\"bench\":\"search_time\","
-                "\"section\":\"exact_gap\",\"model\":\"GPT-3 6.7B\","
-                "\"ops\":%d,\"exhaustive_additive_s\":%.9f,"
-                "\"bnb_additive_s\":%.9f,\"bnb_nodes\":%ld,"
-                "\"bnb_complete\":%s,\"dp_additive_s\":%.9f,"
-                "\"dp_gap\":%.6f}\n",
-                kOps, ex.step_time_s, bnb.additive_cost, bnb.nodes,
-                bnb.complete ? "true" : "false", dp_additive, gap);
-    bar(ex.feasible && bnb.complete &&
-            bnb.additive_cost == ex.step_time_s,
-        "exact engine matches exhaustive bit-for-bit");
-    bar(gap >= -1e-12, "DP never beats the certified additive optimum");
     return failures;
 }
 
@@ -672,7 +590,7 @@ main()
     scheduleCacheSection("GPT-3 6.7B");
 
     bench::banner("Portfolio",
-                  "engine race, budget curve, exact certification");
+                  "engine race and budget curve");
     int failures = portfolioSection(sim);
 
     bench::banner("Persistent tier",

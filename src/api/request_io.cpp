@@ -8,6 +8,7 @@
 #include "api/serialize.hpp"
 #include "common/json.hpp"
 #include "core/config_io.hpp"
+#include "core/option_table.hpp"
 
 namespace temp::api {
 
@@ -403,25 +404,11 @@ tcme::MappingEngineKind
 mappingEngineOf(const JsonValue &v)
 {
     const std::string name = asString(v, "mapping_engine");
-    if (name == "smap")
-        return tcme::MappingEngineKind::SMap;
-    if (name == "gmap")
-        return tcme::MappingEngineKind::GMap;
-    if (name == "tcme")
-        return tcme::MappingEngineKind::TCME;
+    tcme::MappingEngineKind kind;
+    if (tcme::mappingEngineFromId(name, &kind))
+        return kind;
     fail("request: unknown mapping_engine '" + name +
          "' (use smap/gmap/tcme)");
-}
-
-const char *
-policyName(tcme::MappingEngineKind kind)
-{
-    switch (kind) {
-    case tcme::MappingEngineKind::SMap: return "smap";
-    case tcme::MappingEngineKind::GMap: return "gmap";
-    case tcme::MappingEngineKind::TCME: return "tcme";
-    }
-    return "?";
 }
 
 const char *
@@ -751,64 +738,32 @@ toJson(const hw::WaferConfig &w)
 std::string
 toJson(const core::FrameworkOptions &o)
 {
-    return JsonObject()
-        .add("policy", policyName(o.policy.kind))
-        .add("eval_threads", o.eval_threads)
-        .add("training.flash_attention", o.training.flash_attention)
-        .add("training.zero1_optimizer", o.training.zero1_optimizer)
-        .addRaw("training.weight_bytes_per_elem",
-                jsonNumberExact(o.training.weight_bytes_per_elem))
-        .addRaw("training.act_bytes_per_elem",
-                jsonNumberExact(o.training.act_bytes_per_elem))
-        .addRaw("training.grad_bytes_per_elem",
-                jsonNumberExact(o.training.grad_bytes_per_elem))
-        .addRaw("training.optimizer_bytes_per_param",
-                jsonNumberExact(o.training.optimizer_bytes_per_param))
-        .add("solver.enable_ga", o.solver.enable_ga)
-        .add("solver.engine", solver::searchEngineName(o.solver.engine))
-        .add("solver.annealing.iterations",
-             o.solver.annealing.iterations)
-        .add("solver.annealing.proposals", o.solver.annealing.proposals)
-        .addRaw("solver.annealing.initial_temp",
-                jsonNumberExact(o.solver.annealing.initial_temp))
-        .addRaw("solver.annealing.cooling",
-                jsonNumberExact(o.solver.annealing.cooling))
-        .add("solver.ga_population", o.solver.ga_population)
-        .add("solver.ga_generations", o.solver.ga_generations)
-        .addRaw("solver.ga_mutation_rate",
-                jsonNumberExact(o.solver.ga_mutation_rate))
-        .addRaw("solver.seed", std::to_string(o.solver.seed))
-        .addRaw("solver.deadline.quanta",
-                std::to_string(o.solver.deadline.max_quanta))
-        .addRaw("solver.deadline.wall_ms",
-                jsonNumberExact(o.solver.deadline.max_wall_ms))
-        .add("solver.use_surrogate", o.solver.use_surrogate)
-        .addRaw("solver.surrogate_sample_fraction",
-                jsonNumberExact(o.solver.surrogate_sample_fraction))
-        .add("solver.space.allow_dp", o.solver.space.allow_dp)
-        .add("solver.space.allow_fsdp", o.solver.space.allow_fsdp)
-        .add("solver.space.allow_tp", o.solver.space.allow_tp)
-        .add("solver.space.allow_sp", o.solver.space.allow_sp)
-        .add("solver.space.allow_cp", o.solver.space.allow_cp)
-        .add("solver.space.allow_tatp", o.solver.space.allow_tatp)
-        .add("solver.space.max_tp", o.solver.space.max_tp)
-        .add("solver.space.max_tatp", o.solver.space.max_tatp)
-        .add("solver.space.full_occupancy",
-             o.solver.space.full_occupancy)
-        .add("service.cache.max_frameworks", o.cache.max_frameworks)
-        .add("service.cache.max_pods", o.cache.max_pods)
-        .add("eval.cache.max_entries", o.cache.max_eval_entries)
-        .add("eval.cache.max_step_entries", o.cache.max_step_entries)
-        .add("eval.cache.max_layouts", o.cache.max_layout_entries)
-        .add("net.schedule_cache.max_entries",
-             o.cache.max_schedule_entries)
-        .add("net.route_pool.max_entries", o.cache.max_route_entries)
-        .add("eval.cache.max_bytes", o.cache.max_eval_bytes)
-        .add("eval.cache.max_step_bytes", o.cache.max_step_bytes)
-        .add("eval.cache.max_layout_bytes", o.cache.max_layout_bytes)
-        .add("net.schedule_cache.max_bytes", o.cache.max_schedule_bytes)
-        .add("net.route_pool.max_bytes", o.cache.max_route_bytes)
-        .str();
+    JsonObject json;
+    for (const core::OptionRow &row : core::optionRows()) {
+        if (row.role == core::OptionRole::Local)
+            continue;
+        std::visit(
+            core::Overloaded{
+                [&](const bool *v) { json.add(row.key, *v); },
+                [&](const int *v) { json.add(row.key, *v); },
+                [&](const long *v) { json.add(row.key, *v); },
+                [&](const std::uint64_t *v) {
+                    json.addRaw(row.key, std::to_string(*v));
+                },
+                [&](const double *v) {
+                    json.addRaw(row.key, jsonNumberExact(*v));
+                },
+                [&](const tcme::MappingEngineKind *v) {
+                    json.add(row.key, tcme::mappingEngineId(*v));
+                },
+                [&](const solver::SearchEngineKind *v) {
+                    json.add(row.key, solver::searchEngineName(*v));
+                },
+                [&](const std::string *v) { json.add(row.key, *v); },
+            },
+            row.read(o));
+    }
+    return json.str();
 }
 
 std::string
@@ -869,7 +824,7 @@ struct RequestJsonVisitor
             .addRaw("wafer", toJson(r.wafer))
             .addRaw("options", toJson(r.options))
             .add("baseline_kind", baselineWireName(r.kind))
-            .add("mapping_engine", policyName(r.engine))
+            .add("mapping_engine", tcme::mappingEngineId(r.engine))
             .str();
     }
 

@@ -1,6 +1,10 @@
 #include "api/request_key.hpp"
 
+#include <concepts>
 #include <cstdio>
+#include <string_view>
+
+#include "core/option_table.hpp"
 
 namespace temp::api {
 
@@ -16,8 +20,11 @@ field(std::string &key, double v)
     key += buf;
 }
 
+/// Integers (int, long budgets, uint64 seeds) render directly, so no
+/// narrowing or double rounding can alias two keys.
+template <std::integral T>
 void
-field(std::string &key, int v)
+field(std::string &key, T v)
 {
     key += std::to_string(v);
     key += '|';
@@ -39,6 +46,24 @@ field(std::string &key, const std::string &v)
     key += ':';
     key += v;
     key += '|';
+}
+
+/// One option row's field, in its kind's key format.
+void
+field(std::string &key, const core::OptionRow &row,
+      const core::FrameworkOptions &o)
+{
+    std::visit(
+        core::Overloaded{
+            [&](const tcme::MappingEngineKind *v) {
+                field(key, static_cast<int>(*v));
+            },
+            [&](const solver::SearchEngineKind *v) {
+                field(key, static_cast<int>(*v));
+            },
+            [&](const auto *v) { field(key, *v); },
+        },
+        row.read(o));
 }
 
 }  // namespace
@@ -71,73 +96,21 @@ std::string
 policyTrainingKey(const core::FrameworkOptions &o)
 {
     std::string key;
-    field(key, static_cast<int>(o.policy.kind));
-    field(key, o.training.flash_attention);
-    field(key, o.training.zero1_optimizer);
-    field(key, o.training.weight_bytes_per_elem);
-    field(key, o.training.act_bytes_per_elem);
-    field(key, o.training.grad_bytes_per_elem);
-    field(key, o.training.optimizer_bytes_per_param);
+    for (const core::OptionRow &row : core::optionRows()) {
+        const std::string_view name = row.key;
+        if (name == "policy" || name.starts_with("training."))
+            field(key, row, o);
+    }
     return key;
 }
 
 std::string
 optionsKey(const core::FrameworkOptions &o)
 {
-    std::string key = policyTrainingKey(o);
-    field(key, o.solver.space.allow_dp);
-    field(key, o.solver.space.allow_fsdp);
-    field(key, o.solver.space.allow_tp);
-    field(key, o.solver.space.allow_sp);
-    field(key, o.solver.space.allow_cp);
-    field(key, o.solver.space.allow_tatp);
-    field(key, o.solver.space.max_tp);
-    field(key, o.solver.space.max_tatp);
-    field(key, o.solver.space.full_occupancy);
-    field(key, o.solver.enable_ga);
-    field(key, static_cast<int>(o.solver.engine));
-    field(key, o.solver.ga_population);
-    field(key, o.solver.ga_generations);
-    field(key, o.solver.ga_mutation_rate);
-    field(key, o.solver.annealing.iterations);
-    field(key, o.solver.annealing.proposals);
-    field(key, o.solver.annealing.initial_temp);
-    field(key, o.solver.annealing.cooling);
-    key += std::to_string(o.solver.seed);  // uint64: no double rounding
-    key += '|';
-    // Both deadline caps are result-determining configuration (the
-    // quantum cap deterministically, the wall cap by rounding down to
-    // a quantum boundary), so requests differing only in deadline must
-    // not alias. The runtime budget the dispatcher merges in (a
-    // request's remaining queue deadline) stays out — it is per-call
-    // state, not options identity. Quanta rendered like seed
-    // (long -> no double rounding).
-    key += std::to_string(o.solver.deadline.max_quanta);
-    key += '|';
-    field(key, o.solver.deadline.max_wall_ms);
-    field(key, o.solver.use_surrogate);
-    field(key, o.solver.surrogate_sample_fraction);
-    field(key, o.eval_threads);
-    // Framework-level cache budgets are applied at construction, so
-    // they are part of the framework's identity. The service-level
-    // budgets (max_frameworks/max_pods) re-tune the service maps and
-    // deliberately stay out of the key — they do not change what a
-    // framework computes or caches. PersistOptions stays out too:
-    // where a process saves/loads snapshots must not fragment the
-    // framework cache (two processes pointed at different snapshot
-    // paths share identical results). ServeOptions likewise: how long
-    // a process queues a request is front-end policy, not framework
-    // identity. Budgets are long: rendered
-    // directly (like solver.seed) so no narrowing can alias keys.
-    for (const long budget :
-         {o.cache.max_eval_entries, o.cache.max_step_entries,
-          o.cache.max_layout_entries, o.cache.max_schedule_entries,
-          o.cache.max_route_entries, o.cache.max_eval_bytes,
-          o.cache.max_step_bytes, o.cache.max_layout_bytes,
-          o.cache.max_schedule_bytes, o.cache.max_route_bytes}) {
-        key += std::to_string(budget);
-        key += '|';
-    }
+    std::string key;
+    for (const core::OptionRow &row : core::optionRows())
+        if (row.role == core::OptionRole::Identity)
+            field(key, row, o);
     return key;
 }
 
@@ -235,8 +208,7 @@ struct RequestKeyVisitor
         key += "rng|";
         field(key, r.link_fault_rate);
         field(key, r.core_fault_rate);
-        key += std::to_string(r.fault_seed);
-        key += '|';
+        field(key, r.fault_seed);
         return key;
     }
 
@@ -267,8 +239,7 @@ struct RequestKeyVisitor
             field(key, event.at_s);
             field(key, event.link_fault_rate);
             field(key, event.core_fault_rate);
-            key += std::to_string(event.fault_seed);  // uint64
-            key += '|';
+            field(key, event.fault_seed);
             field(key, static_cast<int>(event.kill_dies.size()));
             for (int die : event.kill_dies)
                 field(key, die);

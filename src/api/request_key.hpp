@@ -21,13 +21,13 @@ namespace temp::api {
 /// All 17 WaferConfig fields (die, HBM, D2D).
 std::string waferKey(const hw::WaferConfig &wafer);
 
-/// The (policy, training) slice of the options — all a simulator
-/// consumes; pods key on this so solver-only knobs don't evict them.
+/// The (policy, training.*) option rows — all a simulator consumes;
+/// pods key on this so solver-only knobs don't evict them.
 std::string policyTrainingKey(const core::FrameworkOptions &options);
 
-/// Full FrameworkOptions: policy + training + solver + eval_threads +
-/// framework-level cache budgets (service-level budgets excluded — they
-/// re-tune the service maps without changing what a framework computes).
+/// Every OptionRole::Identity row of core::optionRows(), in table
+/// order. Service and local rows stay out: they re-tune the service
+/// maps or the process without changing what a framework computes.
 std::string optionsKey(const core::FrameworkOptions &options);
 
 /// Pod fabric + the policy/training slice (what MultiWaferSimulator

@@ -124,7 +124,11 @@ TempService::consumePendingBlock(const std::string &key,
 {
     persist::MemoBlock block;
     {
-        std::lock_guard<std::mutex> lock(persist_mutex_);
+        std::unique_lock<std::mutex> lock(persist_mutex_);
+        // A racing request that lost the block waits for the winner's
+        // import instead of solving cold on the same framework.
+        importing_done_.wait(lock,
+                             [&] { return !importing_.contains(key); });
         auto it = pending_blocks_.find(key);
         if (it == pending_blocks_.end())
             return;
@@ -133,10 +137,16 @@ TempService::consumePendingBlock(const std::string &key,
         // framework it warmed re-exports the same memos).
         block = std::move(it->second);
         pending_blocks_.erase(it);
+        importing_.insert(key);
         ++persist_stats_.frameworks_warmed;
     }
     // Import outside the lock: schedule replay lowers real schedules.
     fw.importMemos(block);
+    {
+        std::lock_guard<std::mutex> lock(persist_mutex_);
+        importing_.erase(key);
+    }
+    importing_done_.notify_all();
 }
 
 bool

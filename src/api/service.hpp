@@ -18,11 +18,13 @@
  */
 #pragma once
 
+#include <condition_variable>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "api/requests.hpp"
 #include "common/bounded_cache.hpp"
@@ -159,7 +161,9 @@ class TempService
     void applyServiceBudget(const common::CacheBudget &budget);
 
     /// Imports the staged warm-start block matching @p key into @p fw
-    /// (exactly once; no-op when none is staged).
+    /// (exactly once; no-op when none is staged). Returns only after
+    /// any import of that key has finished, so no request solves on a
+    /// half-warmed framework.
     void consumePendingBlock(const std::string &key,
                              const core::TempFramework &fw);
 
@@ -181,6 +185,10 @@ class TempService
     /// Warm-start blocks staged by warmStart(), keyed by canonical
     /// framework key; frameworkFor() consumes a match exactly once.
     std::unordered_map<std::string, persist::MemoBlock> pending_blocks_;
+    /// Keys whose block is being imported right now; importing_done_
+    /// wakes the requests waiting on them.
+    std::unordered_set<std::string> importing_;
+    std::condition_variable importing_done_;
     PersistStats persist_stats_;
     /// Declared last: destroyed first, so queued submit() tasks drain
     /// (and stop touching the members above) before they go away.

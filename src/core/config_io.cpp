@@ -1,14 +1,17 @@
 #include "core/config_io.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.hpp"
 #include "common/units.hpp"
+#include "core/option_table.hpp"
 
 namespace temp::core {
 
@@ -69,6 +72,22 @@ toBool(const std::string &key, const std::string &value)
             key.c_str(), value.c_str());
 }
 
+/// A whole-number int value of at least @p min. Fractions and values
+/// outside that range are rejected rather than cast (which would be
+/// undefined behaviour or a value no consumer can run with).
+int
+toInt(const std::string &key, const std::string &value, int min)
+{
+    const double v = toNumber(key, value);
+    if (v != std::floor(v) || v < min ||
+        v > std::numeric_limits<int>::max())
+        cfgFail("config: key '%s' must be an integer in [%d, %d], "
+                "got '%s'",
+                key.c_str(), min, std::numeric_limits<int>::max(),
+                value.c_str());
+    return static_cast<int>(v);
+}
+
 /// A non-negative whole-number config value (cache budgets). Negative
 /// values are rejected rather than wrapping into "bounded by 2^64".
 long
@@ -77,6 +96,11 @@ toCount(const std::string &key, const std::string &value)
     const double v = toNumber(key, value);
     if (v < 0)
         cfgFail("config: key '%s' must be >= 0 (0 = unbounded), got '%s'",
+                key.c_str(), value.c_str());
+    // 2^63 is the first double past the long range.
+    if (v != std::floor(v) || v >= 9223372036854775808.0)
+        cfgFail("config: key '%s' must be a whole number below 2^63, "
+                "got '%s'",
                 key.c_str(), value.c_str());
     return static_cast<long>(v);
 }
@@ -100,12 +124,9 @@ toSeed(const std::string &key, const std::string &value)
 tcme::MappingEngineKind
 toEngine(const std::string &key, const std::string &value)
 {
-    if (value == "smap")
-        return tcme::MappingEngineKind::SMap;
-    if (value == "gmap")
-        return tcme::MappingEngineKind::GMap;
-    if (value == "tcme")
-        return tcme::MappingEngineKind::TCME;
+    tcme::MappingEngineKind kind;
+    if (tcme::mappingEngineFromId(value, &kind))
+        return kind;
     cfgFail("config: key '%s' has unknown engine '%s' "
             "(use smap/gmap/tcme)",
             key.c_str(), value.c_str());
@@ -117,7 +138,7 @@ toSearchEngine(const std::string &key, const std::string &value)
     solver::SearchEngineKind kind;
     if (!solver::searchEngineFromName(value, &kind))
         cfgFail("config: key '%s' has unknown search engine '%s' "
-                "(use none/genetic/annealing/beamtabu/exact/portfolio)",
+                "(use none/genetic/annealing/beamtabu/portfolio)",
                 key.c_str(), value.c_str());
     return kind;
 }
@@ -294,109 +315,26 @@ FrameworkOptions
 frameworkOptionsFromConfigOrThrow(const ConfigMap &config)
 {
     FrameworkOptions options;
-    parallel::TrainingOptions &tr = options.training;
-    solver::SolverConfig &sv = options.solver;
-    solver::StrategySpaceOptions &sp = sv.space;
-
     for (const auto &[key, value] : config) {
-        if (key == "policy") {
-            options.policy.kind = toEngine(key, value);
-        } else if (key == "eval_threads") {
-            options.eval_threads = static_cast<int>(toNumber(key, value));
-        } else if (key == "training.flash_attention") {
-            tr.flash_attention = toBool(key, value);
-        } else if (key == "training.zero1_optimizer") {
-            tr.zero1_optimizer = toBool(key, value);
-        } else if (key == "training.weight_bytes_per_elem") {
-            tr.weight_bytes_per_elem = toNumber(key, value);
-        } else if (key == "training.act_bytes_per_elem") {
-            tr.act_bytes_per_elem = toNumber(key, value);
-        } else if (key == "training.grad_bytes_per_elem") {
-            tr.grad_bytes_per_elem = toNumber(key, value);
-        } else if (key == "training.optimizer_bytes_per_param") {
-            tr.optimizer_bytes_per_param = toNumber(key, value);
-        } else if (key == "solver.enable_ga") {
-            sv.enable_ga = toBool(key, value);
-        } else if (key == "solver.engine") {
-            sv.engine = toSearchEngine(key, value);
-        } else if (key == "solver.annealing.iterations") {
-            sv.annealing.iterations = static_cast<int>(toNumber(key, value));
-        } else if (key == "solver.annealing.proposals") {
-            sv.annealing.proposals = static_cast<int>(toNumber(key, value));
-        } else if (key == "solver.annealing.initial_temp") {
-            sv.annealing.initial_temp = toNumber(key, value);
-        } else if (key == "solver.annealing.cooling") {
-            sv.annealing.cooling = toNumber(key, value);
-        } else if (key == "solver.ga_population") {
-            sv.ga_population = static_cast<int>(toNumber(key, value));
-        } else if (key == "solver.ga_generations") {
-            sv.ga_generations = static_cast<int>(toNumber(key, value));
-        } else if (key == "solver.ga_mutation_rate") {
-            sv.ga_mutation_rate = toNumber(key, value);
-        } else if (key == "solver.seed") {
-            sv.seed = toSeed(key, value);
-        } else if (key == "solver.deadline.quanta") {
-            sv.deadline.max_quanta = toCount(key, value);
-        } else if (key == "solver.deadline.wall_ms") {
-            sv.deadline.max_wall_ms = toNumber(key, value);
-        } else if (key == "solver.use_surrogate") {
-            sv.use_surrogate = toBool(key, value);
-        } else if (key == "solver.surrogate_sample_fraction") {
-            sv.surrogate_sample_fraction = toNumber(key, value);
-        } else if (key == "solver.space.allow_dp") {
-            sp.allow_dp = toBool(key, value);
-        } else if (key == "solver.space.allow_fsdp") {
-            sp.allow_fsdp = toBool(key, value);
-        } else if (key == "solver.space.allow_tp") {
-            sp.allow_tp = toBool(key, value);
-        } else if (key == "solver.space.allow_sp") {
-            sp.allow_sp = toBool(key, value);
-        } else if (key == "solver.space.allow_cp") {
-            sp.allow_cp = toBool(key, value);
-        } else if (key == "solver.space.allow_tatp") {
-            sp.allow_tatp = toBool(key, value);
-        } else if (key == "solver.space.max_tp") {
-            sp.max_tp = static_cast<int>(toNumber(key, value));
-        } else if (key == "solver.space.max_tatp") {
-            sp.max_tatp = static_cast<int>(toNumber(key, value));
-        } else if (key == "solver.space.full_occupancy") {
-            sp.full_occupancy = toBool(key, value);
-        } else if (key == "service.cache.max_frameworks") {
-            options.cache.max_frameworks = toCount(key, value);
-        } else if (key == "service.cache.max_pods") {
-            options.cache.max_pods = toCount(key, value);
-        } else if (key == "eval.cache.max_entries") {
-            options.cache.max_eval_entries = toCount(key, value);
-        } else if (key == "eval.cache.max_step_entries") {
-            options.cache.max_step_entries = toCount(key, value);
-        } else if (key == "eval.cache.max_layouts") {
-            options.cache.max_layout_entries = toCount(key, value);
-        } else if (key == "net.schedule_cache.max_entries") {
-            options.cache.max_schedule_entries = toCount(key, value);
-        } else if (key == "net.route_pool.max_entries") {
-            options.cache.max_route_entries = toCount(key, value);
-        } else if (key == "eval.cache.max_bytes") {
-            options.cache.max_eval_bytes = toCount(key, value);
-        } else if (key == "eval.cache.max_step_bytes") {
-            options.cache.max_step_bytes = toCount(key, value);
-        } else if (key == "eval.cache.max_layout_bytes") {
-            options.cache.max_layout_bytes = toCount(key, value);
-        } else if (key == "net.schedule_cache.max_bytes") {
-            options.cache.max_schedule_bytes = toCount(key, value);
-        } else if (key == "net.route_pool.max_bytes") {
-            options.cache.max_route_bytes = toCount(key, value);
-        } else if (key == "persist.path") {
-            options.persist.path = value;
-        } else if (key == "persist.save_on_exit") {
-            options.persist.save_on_exit = toBool(key, value);
-        } else if (key == "persist.period_s") {
-            options.persist.period_s = toNumber(key, value);
-        } else if (key == "serve.deadline_ms") {
-            options.serve.deadline_ms =
-                static_cast<int>(toCount(key, value));
-        } else {
+        const OptionRow *row = findOptionRow(key);
+        if (row == nullptr)
             cfgFail("config: unknown options key '%s'", key.c_str());
-        }
+        std::visit(
+            Overloaded{
+                [&](bool *v) { *v = toBool(key, value); },
+                [&](int *v) { *v = toInt(key, value, row->min); },
+                [&](long *v) { *v = toCount(key, value); },
+                [&](std::uint64_t *v) { *v = toSeed(key, value); },
+                [&](double *v) { *v = toNumber(key, value); },
+                [&](tcme::MappingEngineKind *v) {
+                    *v = toEngine(key, value);
+                },
+                [&](solver::SearchEngineKind *v) {
+                    *v = toSearchEngine(key, value);
+                },
+                [&](std::string *v) { *v = value; },
+            },
+            row->field(options));
     }
     return options;
 }

@@ -2,34 +2,12 @@
 
 #include <algorithm>
 
+#include "common/hash.hpp"
+
 namespace temp::eval {
 
 using parallel::GroupLayout;
 using parallel::ParallelSpec;
-
-namespace {
-
-std::uint64_t
-fnv1a(std::uint64_t hash, std::uint64_t value)
-{
-    for (int i = 0; i < 8; ++i) {
-        hash ^= (value >> (8 * i)) & 0xff;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
-std::uint64_t
-fnv1a(std::uint64_t hash, const std::string &text)
-{
-    for (unsigned char c : text) {
-        hash ^= c;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
-}  // namespace
 
 void
 markScheduleServed(cost::OpCostBreakdown &breakdown)
@@ -61,17 +39,12 @@ std::uint64_t
 graphFingerprint(const model::ComputeGraph &graph)
 {
     const model::ModelConfig &cfg = graph.config();
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    hash = fnv1a(hash, cfg.name);
-    hash = fnv1a(hash, static_cast<std::uint64_t>(cfg.heads));
-    hash = fnv1a(hash, static_cast<std::uint64_t>(cfg.batch));
-    hash = fnv1a(hash, static_cast<std::uint64_t>(cfg.hidden));
-    hash = fnv1a(hash, static_cast<std::uint64_t>(cfg.layers));
-    hash = fnv1a(hash, static_cast<std::uint64_t>(cfg.seq));
-    hash = fnv1a(hash, static_cast<std::uint64_t>(cfg.ffn_mult));
-    hash = fnv1a(hash, static_cast<std::uint64_t>(cfg.vocab));
-    hash = fnv1a(hash, static_cast<std::uint64_t>(graph.opCount()));
-    hash = fnv1a(hash, static_cast<std::uint64_t>(graph.layerCount()));
+    std::uint64_t hash =
+        common::fnv1a(common::kFnvOffset, cfg.name.data(), cfg.name.size());
+    for (const int field :
+         {cfg.heads, cfg.batch, cfg.hidden, cfg.layers, cfg.seq,
+          cfg.ffn_mult, cfg.vocab, graph.opCount(), graph.layerCount()})
+        hash = common::fnv1aU64(hash, static_cast<std::uint64_t>(field));
     return hash;
 }
 

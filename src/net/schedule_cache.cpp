@@ -3,35 +3,26 @@
 #include <bit>
 #include <mutex>
 
+#include "common/hash.hpp"
+
 namespace temp::net {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-std::uint64_t
-fnv1a(std::uint64_t hash, std::uint64_t value)
-{
-    for (int i = 0; i < 8; ++i) {
-        hash ^= (value >> (8 * i)) & 0xff;
-        hash *= kFnvPrime;
-    }
-    return hash;
-}
+using common::fnv1aU64;
 
 std::size_t
 hashSignature(CollectiveKind kind, int tag, std::uint64_t bytes_bits,
               const std::vector<hw::DieId> &group)
 {
-    std::uint64_t hash = kFnvOffset;
-    hash = fnv1a(hash, static_cast<std::uint64_t>(kind));
-    hash = fnv1a(hash,
-                 static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)));
-    hash = fnv1a(hash, bytes_bits);
+    std::uint64_t hash = common::kFnvOffset;
+    hash = fnv1aU64(hash, static_cast<std::uint64_t>(kind));
+    hash = fnv1aU64(
+        hash, static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)));
+    hash = fnv1aU64(hash, bytes_bits);
     for (hw::DieId die : group)
-        hash = fnv1a(hash, static_cast<std::uint64_t>(
-                               static_cast<std::uint32_t>(die)));
+        hash = fnv1aU64(hash, static_cast<std::uint64_t>(
+                                  static_cast<std::uint32_t>(die)));
     return static_cast<std::size_t>(hash);
 }
 

@@ -24,19 +24,6 @@
 
 namespace temp::persist {
 
-/// FNV-1a over a byte range (the snapshot's section checksum).
-inline std::uint64_t
-fnv1aBytes(const void *data, std::size_t size,
-           std::uint64_t hash = 0xcbf29ce484222325ull)
-{
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= bytes[i];
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
 /// Appends fixed-width little-endian primitives to a byte string.
 class ByteWriter
 {

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/hash.hpp"
 #include "persist/codec.hpp"
 
 namespace temp::persist {
@@ -223,7 +224,8 @@ putSection(ByteWriter &w, std::uint32_t tag, const std::string &payload)
 {
     w.u32(tag);
     w.u64(payload.size());
-    w.u64(fnv1aBytes(payload.data(), payload.size()));
+    w.u64(common::fnv1a(common::kFnvOffset, payload.data(),
+                        payload.size()));
     for (char c : payload)
         w.u8(static_cast<std::uint8_t>(c));
 }
@@ -246,7 +248,7 @@ getSection(ByteReader &r, std::uint32_t expected_tag)
     // Carve the payload span out of the outer buffer (no copy).
     const char *base = r.skip(size);
     if (base == nullptr ||
-        fnv1aBytes(base, size) != checksum) {
+        common::fnv1a(common::kFnvOffset, base, size) != checksum) {
         r.fail();
         return ByteReader(nullptr, 0);
     }
@@ -306,14 +308,15 @@ contractFingerprint()
     // and the MemClass taxonomy size. Runtime SIMD mode and thread
     // count are excluded by design — the kernels guarantee
     // bit-identical values across them.
-    std::uint64_t hash = fnv1aBytes("temp-persist-contract-v1", 24);
+    std::uint64_t hash =
+        common::fnv1a(common::kFnvOffset, "temp-persist-contract-v1", 24);
     const std::uint8_t probe[3] = {
         static_cast<std::uint8_t>(sizeof(double)),
         static_cast<std::uint8_t>(
             std::endian::native == std::endian::little ? 1 : 2),
         static_cast<std::uint8_t>(mem::MemoryFootprint{}.bytes.size()),
     };
-    return fnv1aBytes(probe, sizeof(probe), hash);
+    return common::fnv1a(hash, probe, sizeof(probe));
 }
 
 std::string

@@ -270,11 +270,6 @@ DlsSolver::solve(const model::ComputeGraph &graph,
                                                  unsimulated);
     for (std::size_t k = 0; k < uniform_set.size(); ++k)
         uniform_reports[uniform_set[k]] = simulated[k];
-    // The RAW additive matrix — before the memory-pressure penalties
-    // below — is what the exact branch-and-bound engine certifies
-    // against (it replays ExhaustiveSolver's enumeration, which never
-    // penalises).
-    const std::vector<std::vector<double>> raw_op_cost = op_cost;
     std::vector<std::size_t> uniform_order;
     for (std::size_t s : uniform_set) {
         ++result.evaluations;
@@ -372,8 +367,7 @@ DlsSolver::solve(const model::ComputeGraph &graph,
                                     best_fitness,
                                     warm_seeds.empty() ? nullptr
                                                        : &warm_seeds,
-                                    &gauge,          &raw_op_cost,
-                                    &sim_.costModel()};
+                                    &gauge};
             RefineOutcome refined = engine_->refine(ctx, *steps_);
             result.evaluations += refined.fitness_queries;
             result.budget_exhausted = refined.budget_exhausted;

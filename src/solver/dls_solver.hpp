@@ -35,9 +35,6 @@ namespace temp::solver {
 struct SolverConfig
 {
     StrategySpaceOptions space;
-    /// Legacy master switch: false forces the NoRefine engine
-    /// regardless of `engine` (kept for existing configs/call sites).
-    bool enable_ga = true;
     /// Which level-2 refinement runs after the DP.
     SearchEngineKind engine = SearchEngineKind::Genetic;
     int ga_population = 16;

@@ -3,26 +3,21 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <unordered_set>
 #include <utility>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
-#include "cost/cost_model.hpp"
 #include "solver/refine_util.hpp"
 
 namespace temp::solver {
 
 using detail::batchFitness;
 using detail::drawOrder;
-using detail::fitnessOf;
 using detail::makeFixedRun;
 using detail::validSeeds;
 
 namespace {
-
-const double kInf = std::numeric_limits<double>::infinity();
 
 /// FNV-1a over a genome's gene values — the tabu key. Collisions are
 /// deterministic (same build, same hashes), so a collision at worst
@@ -31,11 +26,10 @@ const double kInf = std::numeric_limits<double>::infinity();
 std::uint64_t
 genomeHash(const std::vector<int> &genome)
 {
-    std::uint64_t h = 14695981039346656037ULL;
-    for (int g : genome) {
-        h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(g));
-        h *= 1099511628211ULL;
-    }
+    std::uint64_t h = common::kFnvOffset;
+    for (int g : genome)
+        h = common::fnv1aStep(
+            h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(g)));
     return h;
 }
 
@@ -268,147 +262,6 @@ BeamTabuRefiner::beginFrom(const RefineContext &ctx,
     // continued run would diverge from the uninterrupted one. A cold
     // re-run is deterministic and lands on the bit-identical final
     // plan — slower, never wrong.
-    return begin(ctx, steps);
-}
-
-// ---------------------------------------------------------------------
-// ExactChainEngine
-// ---------------------------------------------------------------------
-
-ExactChainEngine::BnbResult
-ExactChainEngine::branchAndBound(
-    const model::ComputeGraph &graph,
-    const std::vector<parallel::ParallelSpec> &candidates,
-    const std::vector<std::vector<double>> &op_cost,
-    const cost::WaferCostModel &model, long max_nodes)
-{
-    BnbResult result;
-    const int n_ops = static_cast<int>(op_cost.size());
-    std::vector<int> current(static_cast<std::size_t>(n_ops), 0);
-    std::vector<int> best;
-    double best_cost = kInf;
-    bool aborted = false;
-
-    // The identical enumeration ExhaustiveSolver::solve() runs —
-    // candidate index order, strict >= pruning on the additive
-    // objective — with a deterministic node budget in place of its
-    // wall-clock timeout.
-    std::function<void(int, double)> dfs = [&](int depth,
-                                               double partial) {
-        if (aborted || partial >= best_cost)
-            return;
-        if (depth == n_ops) {
-            best_cost = partial;
-            best = current;
-            return;
-        }
-        for (std::size_t s = 0; s < candidates.size(); ++s) {
-            if (++result.nodes > max_nodes) {
-                aborted = true;
-                return;
-            }
-            double cost = op_cost[depth][s];
-            if (std::isinf(cost))
-                continue;
-            if (depth > 0 &&
-                current[depth - 1] != static_cast<int>(s)) {
-                cost += model.interOpTime(
-                    graph.op(depth - 1),
-                    candidates[current[depth - 1]], candidates[s]);
-            }
-            current[depth] = static_cast<int>(s);
-            dfs(depth + 1, partial + cost);
-        }
-    };
-    dfs(0, 0.0);
-
-    result.complete = !aborted;
-    if (!best.empty() && std::isfinite(best_cost)) {
-        result.assignment = std::move(best);
-        result.additive_cost = best_cost;
-    }
-    return result;
-}
-
-/// The whole branch-and-bound as one quantum slice, then one
-/// full-step query to score the additive optimum in fitness currency.
-class ExactChainEngine::Run : public RefineRun
-{
-  public:
-    Run(const ExactChainEngine &owner, const RefineContext &ctx,
-        eval::StepEvaluator &steps)
-        : owner_(owner), ctx_(ctx), steps_(steps),
-          best_(ctx.dp_assignment), best_fitness_(ctx.dp_fitness)
-    {
-    }
-
-    const char *engine() const override { return owner_.name(); }
-    int stepsDone() const override { return steps_done_; }
-    bool done() const override { return steps_done_ >= 1; }
-    void step() override
-    {
-        const BnbResult exact = branchAndBound(
-            ctx_.graph, ctx_.candidates, *ctx_.op_cost,
-            *ctx_.cost_model, kMaxNodes);
-        if (!exact.assignment.empty()) {
-            const double f =
-                fitnessOf(ctx_, steps_, exact.assignment);
-            ++fitness_queries_;
-            if (f < best_fitness_) {
-                best_ = exact.assignment;
-                best_fitness_ = f;
-            }
-        }
-        ++steps_done_;
-    }
-    RefineOutcome outcome() const override
-    {
-        return {best_, best_fitness_, fitness_queries_};
-    }
-    void writeCheckpoint(RefineCheckpoint *checkpoint) const override
-    {
-        *checkpoint = RefineCheckpoint{};
-        checkpoint->engine = owner_.name();
-        checkpoint->steps_done = steps_done_;
-        checkpoint->fitness_queries = fitness_queries_;
-        checkpoint->best = best_;
-        checkpoint->best_fitness = best_fitness_;
-    }
-
-  private:
-    const ExactChainEngine &owner_;
-    const RefineContext &ctx_;
-    eval::StepEvaluator &steps_;
-    std::vector<int> best_;
-    double best_fitness_;
-    long fitness_queries_ = 0;
-    int steps_done_ = 0;
-};
-
-std::unique_ptr<RefineRun>
-ExactChainEngine::begin(const RefineContext &ctx,
-                        eval::StepEvaluator &steps) const
-{
-    // Self-gating: without the raw matrix + cost model, or beyond the
-    // size thresholds, certification is off the table — keep the DP
-    // plan as a completed, zero-slice run.
-    if (ctx.op_cost == nullptr || ctx.cost_model == nullptr ||
-        ctx.graph.opCount() > kMaxOps ||
-        static_cast<int>(ctx.candidates.size()) > kMaxCands)
-        return makeFixedRun(
-            name(), 0,
-            RefineOutcome{ctx.dp_assignment, ctx.dp_fitness, 0});
-    return std::make_unique<Run>(*this, ctx, steps);
-}
-
-std::unique_ptr<RefineRun>
-ExactChainEngine::beginFrom(const RefineContext &ctx,
-                            eval::StepEvaluator &steps,
-                            const RefineCheckpoint & /*checkpoint*/) const
-{
-    // A checkpoint taken before the (single) exact slice carries no
-    // searchable state; re-running the deterministic B&B is cheap and
-    // bit-identical.
     return begin(ctx, steps);
 }
 

@@ -6,15 +6,11 @@
  *    encoding with a tabu set of genome hashes, so no plan is ever
  *    simulated twice within a run (every fitness batch is pure
  *    exploration).
- *  - ExactChainEngine: branch-and-bound over the RAW additive
- *    (op, candidate) matrix — the same enumeration ExhaustiveSolver
- *    performs, behind the SearchEngine seam — for chains small enough
- *    to certify the heuristics' optimality gap.
  *  - PortfolioEngine: races member engines round-robin, one quantum
  *    slice per turn, under one shared budget gauge; the best member's
  *    incumbent wins, and per-member EngineAccounts report who did.
  *
- * All three observe the RefineRun quantum-slicing contract: budgets are
+ * Both observe the RefineRun quantum-slicing contract: budgets are
  * checked between slices only, so a budgeted run is the bit-exact
  * prefix of the unbudgeted one.
  */
@@ -67,68 +63,6 @@ class BeamTabuRefiner : public SearchEngine
 
     int rounds_;
     std::uint64_t seed_;
-};
-
-/**
- * Exact branch-and-bound over the RAW additive cost matrix
- * (RefineContext::op_cost) plus inter-op resharding transitions — the
- * identical enumeration ExhaustiveSolver::solve() performs (candidate
- * index order, strict `partial >= best` pruning), so on chains both
- * can finish, the two agree bit-for-bit on the additive objective.
- *
- * The engine gates itself: it only searches when the context carries
- * the matrix and cost model, the chain has at most kMaxOps ops and
- * kMaxCands candidates, and the node budget suffices; otherwise it
- * keeps the DP incumbent (a completed run, zero slices). The whole
- * B&B is ONE quantum slice — deterministic by the node budget, never
- * wall-clock — followed by one full-step simulation of the exact
- * additive optimum, so the returned incumbent is scored in the same
- * currency as every other engine's.
- */
-class ExactChainEngine : public SearchEngine
-{
-  public:
-    ExactChainEngine() = default;
-
-    const char *name() const override { return "exact"; }
-    std::unique_ptr<RefineRun> begin(
-        const RefineContext &ctx,
-        eval::StepEvaluator &steps) const override;
-    std::unique_ptr<RefineRun> beginFrom(
-        const RefineContext &ctx, eval::StepEvaluator &steps,
-        const RefineCheckpoint &checkpoint) const override;
-
-    /// Gate thresholds: beyond either, the engine keeps the DP plan.
-    static constexpr int kMaxOps = 12;
-    static constexpr int kMaxCands = 48;
-    /// Deterministic search budget (dfs nodes), replacing the
-    /// exhaustive baseline's wall-clock timeout.
-    static constexpr long kMaxNodes = 4'000'000;
-
-    /// Result of the additive branch-and-bound (testable directly).
-    struct BnbResult
-    {
-        std::vector<int> assignment;  ///< empty when nothing feasible
-        double additive_cost = 0.0;   ///< objective of `assignment`
-        long nodes = 0;               ///< dfs nodes expanded
-        bool complete = false;        ///< search ran to exhaustion
-    };
-
-    /**
-     * The search itself: minimises sum(op_cost[i][g_i]) plus
-     * model.interOpTime(op(i-1), cand[g_{i-1}], cand[g_i]) whenever
-     * the spec changes across an edge. Aborts (complete=false) when
-     * max_nodes is exceeded; an aborted search's incumbent is still
-     * valid, just not certified optimal.
-     */
-    static BnbResult branchAndBound(
-        const model::ComputeGraph &graph,
-        const std::vector<parallel::ParallelSpec> &candidates,
-        const std::vector<std::vector<double>> &op_cost,
-        const cost::WaferCostModel &model, long max_nodes);
-
-  private:
-    class Run;
 };
 
 /**

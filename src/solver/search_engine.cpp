@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "persist/codec.hpp"
 #include "solver/dls_solver.hpp"
@@ -181,7 +182,7 @@ encodeRefineCheckpoint(const RefineCheckpoint &cp)
     w.u32(kCheckpointMagic);
     w.u32(kCheckpointVersion);
     const std::string body = payload.take();
-    w.u64(persist::fnv1aBytes(body.data(), body.size()));
+    w.u64(common::fnv1a(common::kFnvOffset, body.data(), body.size()));
     w.u32(static_cast<std::uint32_t>(body.size()));
     std::string out = w.take();
     out += body;
@@ -209,7 +210,7 @@ decodeRefineCheckpoint(const std::string &bytes, RefineCheckpoint *out,
     const char *body = r.skip(size);
     if (!r.ok() || !r.atEnd())
         return failed("checkpoint: truncated");
-    if (persist::fnv1aBytes(body, size) != checksum)
+    if (common::fnv1a(common::kFnvOffset, body, size) != checksum)
         return failed("checkpoint: checksum mismatch");
 
     persist::ByteReader pr(body, size);
@@ -374,7 +375,6 @@ searchEngineName(SearchEngineKind kind)
     case SearchEngineKind::Genetic: return "genetic";
     case SearchEngineKind::Annealing: return "annealing";
     case SearchEngineKind::BeamTabu: return "beamtabu";
-    case SearchEngineKind::Exact: return "exact";
     case SearchEngineKind::Portfolio: return "portfolio";
     }
     return "unknown";
@@ -391,8 +391,6 @@ searchEngineFromName(const std::string &name, SearchEngineKind *kind)
         *kind = SearchEngineKind::Annealing;
     else if (name == "beamtabu" || name == "beam")
         *kind = SearchEngineKind::BeamTabu;
-    else if (name == "exact")
-        *kind = SearchEngineKind::Exact;
     else if (name == "portfolio")
         *kind = SearchEngineKind::Portfolio;
     else
@@ -875,10 +873,7 @@ AnnealingRefiner::beginFrom(const RefineContext &ctx,
 std::unique_ptr<SearchEngine>
 makeSearchEngine(const SolverConfig &config)
 {
-    const SearchEngineKind kind = config.enable_ga
-                                      ? config.engine
-                                      : SearchEngineKind::NoRefine;
-    switch (kind) {
+    switch (config.engine) {
     case SearchEngineKind::NoRefine:
         return std::make_unique<NoRefineEngine>();
     case SearchEngineKind::Genetic:
@@ -891,8 +886,6 @@ makeSearchEngine(const SolverConfig &config)
     case SearchEngineKind::BeamTabu:
         return std::make_unique<BeamTabuRefiner>(config.ga_generations,
                                                  config.seed);
-    case SearchEngineKind::Exact:
-        return std::make_unique<ExactChainEngine>();
     case SearchEngineKind::Portfolio: {
         // The portfolio races the three metaheuristics round-robin on
         // one budget; every member sees the same warm-seed pool via

@@ -34,10 +34,6 @@
 #include "common/budget.hpp"
 #include "eval/step_evaluator.hpp"
 
-namespace temp::cost {
-class WaferCostModel;
-}
-
 namespace temp::solver {
 
 struct SolverConfig;
@@ -53,15 +49,12 @@ enum class SearchEngineKind
     Annealing,
     /// Deterministic beam search with a tabu set over genome hashes.
     BeamTabu,
-    /// Exact branch-and-bound over the additive matrix (small chains);
-    /// certifies the heuristics' optimality gap.
-    Exact,
     /// Races Genetic/Annealing/BeamTabu round-robin under one budget.
     Portfolio,
 };
 
 /// Printable engine name ("none", "genetic", "annealing", "beamtabu",
-/// "exact", "portfolio").
+/// "portfolio").
 const char *searchEngineName(SearchEngineKind kind);
 
 /**
@@ -129,17 +122,6 @@ struct RefineContext
      * the bit-exact prefix of the unbudgeted one. Null = unbudgeted.
      */
     common::BudgetGauge *gauge = nullptr;
-    /**
-     * The RAW additive (op, candidate) cost matrix — before the
-     * solver's memory-pressure penalties — for engines that reason
-     * about the additive objective directly (ExactChainEngine's
-     * branch-and-bound matches ExhaustiveSolver bit-for-bit only on
-     * the unpenalised matrix). Null when unavailable.
-     */
-    const std::vector<std::vector<double>> *op_cost = nullptr;
-    /// Cost model for inter-op resharding transitions (with op_cost,
-    /// what the exact engine needs). Null when unavailable.
-    const cost::WaferCostModel *cost_model = nullptr;
 };
 
 /// Per-engine accounting of one refinement (every engine reports one;
@@ -391,10 +373,7 @@ class AnnealingRefiner : public SearchEngine
     std::uint64_t seed_;
 };
 
-/**
- * Builds the engine a SolverConfig selects: config.engine, demoted to
- * NoRefine when the legacy enable_ga switch is off.
- */
+/// Builds the engine config.engine selects.
 std::unique_ptr<SearchEngine> makeSearchEngine(const SolverConfig &config);
 
 }  // namespace temp::solver

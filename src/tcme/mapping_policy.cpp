@@ -17,6 +17,31 @@ mappingEngineName(MappingEngineKind kind)
     return "?";
 }
 
+const char *
+mappingEngineId(MappingEngineKind kind)
+{
+    switch (kind) {
+      case MappingEngineKind::SMap: return "smap";
+      case MappingEngineKind::GMap: return "gmap";
+      case MappingEngineKind::TCME: return "tcme";
+    }
+    return "?";
+}
+
+bool
+mappingEngineFromId(const std::string &id, MappingEngineKind *kind)
+{
+    for (const MappingEngineKind k :
+         {MappingEngineKind::SMap, MappingEngineKind::GMap,
+          MappingEngineKind::TCME}) {
+        if (id == mappingEngineId(k)) {
+            *kind = k;
+            return true;
+        }
+    }
+    return false;
+}
+
 std::vector<Axis>
 MappingPolicy::axisOrder(const AxisVolumes &volumes) const
 {

@@ -35,6 +35,12 @@ enum class MappingEngineKind
 /// Returns the printable engine name.
 const char *mappingEngineName(MappingEngineKind kind);
 
+/// The lower-case config and wire spelling ("smap", "gmap", "tcme").
+const char *mappingEngineId(MappingEngineKind kind);
+
+/// Parses a lower-case spelling; false when the name is unknown.
+bool mappingEngineFromId(const std::string &id, MappingEngineKind *kind);
+
 /// Per-axis communication volume estimates (bytes), used by GMap/TCME
 /// to choose orderings.
 using AxisVolumes =

@@ -78,7 +78,7 @@ TEST(FrameworkOptionsConfig, DefaultsWhenEmpty)
 {
     const FrameworkOptions options = frameworkOptionsFromConfig({});
     EXPECT_EQ(options.policy.kind, tcme::MappingEngineKind::TCME);
-    EXPECT_TRUE(options.solver.enable_ga);
+    EXPECT_EQ(options.solver.engine, solver::SearchEngineKind::Genetic);
     EXPECT_EQ(options.eval_threads, 0);
 }
 
@@ -89,7 +89,7 @@ TEST(FrameworkOptionsConfig, SolverTrainingAndPolicyKeysApply)
         "eval_threads = 3\n"
         "training.flash_attention = false\n"
         "training.optimizer_bytes_per_param = 16\n"
-        "solver.enable_ga = 0\n"
+        "solver.engine = none\n"
         "solver.ga_population = 24\n"
         "solver.ga_mutation_rate = 0.5\n"
         "solver.seed = 7\n"
@@ -103,7 +103,7 @@ TEST(FrameworkOptionsConfig, SolverTrainingAndPolicyKeysApply)
     EXPECT_EQ(options.eval_threads, 3);
     EXPECT_FALSE(options.training.flash_attention);
     EXPECT_DOUBLE_EQ(options.training.optimizer_bytes_per_param, 16.0);
-    EXPECT_FALSE(options.solver.enable_ga);
+    EXPECT_EQ(options.solver.engine, solver::SearchEngineKind::NoRefine);
     EXPECT_EQ(options.solver.ga_population, 24);
     EXPECT_DOUBLE_EQ(options.solver.ga_mutation_rate, 0.5);
     EXPECT_EQ(options.solver.seed, 7u);
@@ -147,6 +147,70 @@ TEST(FrameworkOptionsConfig, SearchEngineAndAnnealingKeysApply)
               solver::SearchEngineKind::Genetic);
     EXPECT_STREQ(
         solver::searchEngineName(options.solver.engine), "annealing");
+}
+
+TEST(FrameworkOptionsConfig, RemovedKnobsAreRejected)
+{
+    // Neither the enable_ga switch nor the exact engine exists: naming
+    // one is an error, never a silent default.
+    try {
+        frameworkOptionsFromConfigOrThrow(
+            parseConfigText("solver.enable_ga = 0\n"));
+        FAIL() << "solver.enable_ga accepted";
+    } catch (const ConfigError &error) {
+        EXPECT_NE(std::string(error.what()).find("unknown options key"),
+                  std::string::npos);
+    }
+    try {
+        frameworkOptionsFromConfigOrThrow(
+            parseConfigText("solver.engine = exact\n"));
+        FAIL() << "solver.engine = exact accepted";
+    } catch (const ConfigError &error) {
+        EXPECT_NE(std::string(error.what()).find("unknown search engine"),
+                  std::string::npos);
+    }
+}
+
+TEST(FrameworkOptionsConfig, NumericValuesAreValidatedNotCast)
+{
+    // Casting these from double would be undefined (out of range) or
+    // would hand the solver a value it cannot run with (an empty GA
+    // population aborts the process).
+    const char *rejected[][2] = {
+        {"solver.ga_population", "0"},
+        {"solver.ga_population", "-3"},
+        {"solver.ga_population", "3e9"},
+        {"solver.ga_population", "1e300"},
+        {"solver.ga_population", "2.5"},
+        {"solver.ga_generations", "1e300"},
+        {"solver.annealing.proposals", "-1"},
+        {"solver.space.max_tp", "-1e300"},
+        {"eval_threads", "nan"},
+        {"serve.deadline_ms", "-5"},
+        {"serve.deadline_ms", "3e9"},
+        {"eval.cache.max_entries", "-1"},
+        {"eval.cache.max_entries", "1.5"},
+        {"eval.cache.max_entries", "1e300"},
+        {"solver.deadline.quanta", "inf"},
+    };
+    for (const auto &[key, value] : rejected) {
+        const ConfigMap config{{key, value}};
+        EXPECT_THROW(frameworkOptionsFromConfigOrThrow(config),
+                     ConfigError)
+            << key << " = " << value;
+    }
+    // The boundaries themselves are accepted.
+    const FrameworkOptions options = frameworkOptionsFromConfigOrThrow(
+        {{"solver.ga_population", "1"},
+         {"solver.annealing.proposals", "0"},
+         {"solver.space.max_tp", "2147483647"},
+         {"serve.deadline_ms", "0"},
+         {"eval.cache.max_entries", "4e3"}});
+    EXPECT_EQ(options.solver.ga_population, 1);
+    EXPECT_EQ(options.solver.annealing.proposals, 0);
+    EXPECT_EQ(options.solver.space.max_tp, 2147483647);
+    EXPECT_EQ(options.serve.deadline_ms, 0);
+    EXPECT_EQ(options.cache.max_eval_entries, 4000);
 }
 
 TEST(ConfigFileDetection, DotConfSuffixOnly)
@@ -202,7 +266,7 @@ TEST(ConfigDeath, RejectsUnknownOptionsKey)
 TEST(ConfigDeath, RejectsNonBooleanAndUnknownEngine)
 {
     EXPECT_EXIT(frameworkOptionsFromConfig(
-                    parseConfigText("solver.enable_ga = maybe\n")),
+                    parseConfigText("solver.use_surrogate = maybe\n")),
                 ::testing::ExitedWithCode(1), "non-boolean");
     EXPECT_EXIT(
         frameworkOptionsFromConfig(parseConfigText("policy = alpa\n")),

@@ -275,23 +275,24 @@ TEST(Dispatcher, TenantsAreServedRoundRobin)
 
     // Tenant A floods 8 requests, then tenant B sends 2; with one
     // worker and round-robin dequeue B is answered interleaved, not
-    // after A's whole backlog.
+    // after A's whole backlog. Requests are admitted one at a time so
+    // the arrival order is the one the assertions below assume, on any
+    // number of cores.
     std::vector<std::thread> threads;
-    threads.emplace_back(
-        [&] { dispatcher.dispatch(optimizeWithSeed(100), "A"); });
+    const auto admit = [&](std::uint64_t seed, const char *tenant) {
+        const long before = dispatcher.stats().accepted;
+        threads.emplace_back([&, seed, tenant] {
+            dispatcher.dispatch(optimizeWithSeed(seed), tenant);
+        });
+        return waitUntil(
+            [&] { return dispatcher.stats().accepted == before + 1; });
+    };
+    ASSERT_TRUE(admit(100, "A"));
     ASSERT_TRUE(waitUntil([&] { return gate.startedCount() == 1; }));
     for (std::uint64_t i = 1; i < 8; ++i)
-        threads.emplace_back([&, i] {
-            dispatcher.dispatch(optimizeWithSeed(100 + i), "A");
-        });
-    ASSERT_TRUE(
-        waitUntil([&] { return dispatcher.stats().accepted == 8; }));
+        ASSERT_TRUE(admit(100 + i, "A"));
     for (std::uint64_t j = 0; j < 2; ++j)
-        threads.emplace_back([&, j] {
-            dispatcher.dispatch(optimizeWithSeed(200 + j), "B");
-        });
-    ASSERT_TRUE(
-        waitUntil([&] { return dispatcher.stats().accepted == 10; }));
+        ASSERT_TRUE(admit(200 + j, "B"));
 
     gate.release();
     for (std::thread &thread : threads)
@@ -447,6 +448,33 @@ TEST(Server, FramedSessionAnswersBadDocumentsInBand)
         << error;
     EXPECT_NE(response.find("\"ok\":true"), std::string::npos);
     EXPECT_NE(response.find("\"tenant\":\"obs\""), std::string::npos);
+    server.stop();
+}
+
+TEST(Server, OutOfRangeOptionIsAnErrorNotACrash)
+{
+    // A zero GA population cannot run: the parser rejects it, so the
+    // server answers with an error and keeps serving.
+    api::TempService service;
+    Server server(service, ServerOptions{});
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    Client client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port(), &error))
+        << error;
+    std::string response;
+    ASSERT_TRUE(client.callRaw(
+        R"({"kind":"optimize","model":{"base":"GPT-3 6.7B"},)"
+        R"("options":{"solver.ga_population":0}})",
+        &response, &error))
+        << error;
+    EXPECT_NE(response.find("\"ok\":false"), std::string::npos);
+    EXPECT_NE(response.find("solver.ga_population"), std::string::npos);
+    ASSERT_TRUE(client.call(api::CacheStatsRequest{}, "next", &response,
+                            &error))
+        << error;
+    EXPECT_NE(response.find("\"ok\":true"), std::string::npos);
     server.stop();
 }
 

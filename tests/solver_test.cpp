@@ -12,14 +12,12 @@
 
 #include "common/budget.hpp"
 #include "common/thread_pool.hpp"
-#include "cost/breakdown_reduce.hpp"
 #include "eval/cost_evaluator.hpp"
 #include "eval/step_evaluator.hpp"
 #include "model/graph.hpp"
 #include "model/model_zoo.hpp"
 #include "sim/trainer_sim.hpp"
 #include "solver/dls_solver.hpp"
-#include "solver/portfolio.hpp"
 #include "solver/search_engine.hpp"
 #include "solver/solve_budget.hpp"
 #include "solver/strategy_space.hpp"
@@ -191,29 +189,12 @@ TEST_F(SolverTest, GaRefinesOrMatchesDp)
     const auto graph = model::ComputeGraph::transformer(
         model::modelByName("GPT-3 175B"));
     SolverConfig no_ga;
-    no_ga.enable_ga = false;
+    no_ga.engine = SearchEngineKind::NoRefine;
     const SolverResult dp_only = DlsSolver(sim_, no_ga).solve(graph);
     const SolverResult full = DlsSolver(sim_).solve(graph);
     ASSERT_TRUE(dp_only.feasible);
     ASSERT_TRUE(full.feasible);
     EXPECT_LE(full.step_time_s, dp_only.step_time_s * 1.0001);
-}
-
-TEST_F(SolverTest, NoRefineEngineMatchesLegacyEnableGaSwitch)
-{
-    const auto graph = model::ComputeGraph::transformer(
-        model::modelByName("GPT-3 6.7B"));
-    SolverConfig legacy;
-    legacy.enable_ga = false;
-    SolverConfig engine;
-    engine.engine = SearchEngineKind::NoRefine;
-    const SolverResult a = DlsSolver(sim_, legacy).solve(graph);
-    const SolverResult b = DlsSolver(sim_, engine).solve(graph);
-    ASSERT_TRUE(a.feasible);
-    ASSERT_TRUE(b.feasible);
-    EXPECT_EQ(a.per_op_specs, b.per_op_specs);
-    EXPECT_DOUBLE_EQ(a.step_time_s, b.step_time_s);
-    EXPECT_EQ(a.evaluations, b.evaluations);
 }
 
 TEST_F(SolverTest, AnnealingEngineRefinesOrMatchesDpAndIsDeterministic)
@@ -328,7 +309,7 @@ TEST_F(SolverTest, DlsOrdersOfMagnitudeFasterThanExhaustive)
 
     SolverConfig dls_cfg;
     dls_cfg.space = space;
-    dls_cfg.enable_ga = false;  // isolate the DP level
+    dls_cfg.engine = SearchEngineKind::NoRefine;  // isolate the DP level
     DlsSolver dls(sim_, dls_cfg);
     const SolverResult fast = dls.solve(graph);
 
@@ -538,8 +519,7 @@ TEST_F(SolverTest, ForeignCheckpointDegradesToColdRefine)
 }
 
 // ---------------------------------------------------------------------
-// SolveBudget: quantum caps, prefix identity, the portfolio race and
-// the exact certification engine.
+// SolveBudget: quantum caps, prefix identity and the portfolio race.
 // ---------------------------------------------------------------------
 
 TEST_F(SolverTest, BudgetedRefineIsBitExactPrefixOfUnbudgeted)
@@ -707,80 +687,6 @@ TEST_F(SolverTest, PortfolioNeverWorseThanAnyMemberEngine)
         EXPECT_LE(portfolio.step_time_s, single.step_time_s * 1.0001)
             << searchEngineName(kind) << " beat the portfolio";
     }
-}
-
-TEST_F(SolverTest, ExactEngineMatchesExhaustiveBitForBit)
-{
-    // Same space, same truncated chain: the B&B inside the engine and
-    // the exhaustive baseline must agree on the additive optimum
-    // exactly — same assignment, same objective bits.
-    StrategySpaceOptions space;
-    space.allow_sp = false;
-    space.allow_cp = false;
-    const auto graph = model::ComputeGraph::transformer(
-        model::modelByName("GPT-3 6.7B"));
-    constexpr int kOps = 4;
-
-    ExhaustiveSolver exhaustive(sim_, space);
-    const SolverResult ex =
-        exhaustive.solve(graph, /*op_limit=*/kOps, /*time_budget_s=*/60.0);
-    ASSERT_TRUE(ex.feasible);
-
-    // Rebuild the identical additive matrix the exhaustive pass used.
-    const std::vector<ParallelSpec> candidates = enumerateStrategies(
-        sim_.wafer().dieCount(), graph.config(), space);
-    ASSERT_LE(static_cast<int>(candidates.size()),
-              ExactChainEngine::kMaxCands);
-    eval::ExactEvaluator eval(sim_.costModel());
-    std::vector<eval::EvalRequest> requests;
-    for (int i = 0; i < kOps; ++i)
-        for (const ParallelSpec &spec : candidates)
-            requests.push_back({i, spec, true});
-    const std::vector<cost::OpCostBreakdown> cells =
-        eval.evaluateBatch(graph, requests);
-    std::vector<double> totals(cells.size());
-    cost::breakdownTotals(cells, totals.data());
-    std::vector<std::vector<double>> op_cost(kOps);
-    for (int i = 0; i < kOps; ++i) {
-        const double *row = totals.data() +
-                            static_cast<std::size_t>(i) *
-                                candidates.size();
-        op_cost[i].assign(row, row + candidates.size());
-    }
-
-    const ExactChainEngine::BnbResult bnb =
-        ExactChainEngine::branchAndBound(graph, candidates, op_cost,
-                                         sim_.costModel(),
-                                         ExactChainEngine::kMaxNodes);
-    EXPECT_TRUE(bnb.complete);
-    ASSERT_EQ(bnb.assignment.size(), static_cast<std::size_t>(kOps));
-    EXPECT_EQ(bnb.additive_cost, ex.step_time_s);  // bit-for-bit
-    for (int i = 0; i < kOps; ++i)
-        EXPECT_TRUE(candidates[static_cast<std::size_t>(
-                        bnb.assignment[i])] == ex.per_op_specs[i])
-            << "op " << i << " disagrees";
-}
-
-TEST_F(SolverTest, ExactEngineEndToEndCertifiesOrKeepsDpPlan)
-{
-    const auto graph = model::ComputeGraph::transformer(
-        model::modelByName("GPT-3 6.7B"));
-    SolverConfig dp_cfg;
-    dp_cfg.engine = SearchEngineKind::NoRefine;
-    SolverConfig exact_cfg;
-    exact_cfg.engine = SearchEngineKind::Exact;
-    const SolverResult dp = DlsSolver(sim_, dp_cfg).solve(graph);
-    const SolverResult exact = DlsSolver(sim_, exact_cfg).solve(graph);
-    const SolverResult repeat = DlsSolver(sim_, exact_cfg).solve(graph);
-    ASSERT_TRUE(dp.feasible);
-    ASSERT_TRUE(exact.feasible);
-    // The engine keeps the better of {DP incumbent, certified additive
-    // optimum}, so it can never end up worse than DP-only.
-    EXPECT_LE(exact.step_time_s, dp.step_time_s * 1.0001);
-    ASSERT_EQ(exact.engine_accounts.size(), 1u);
-    EXPECT_EQ(exact.engine_accounts[0].engine, "exact");
-    EXPECT_EQ(exact.per_op_specs, repeat.per_op_specs);
-    EXPECT_DOUBLE_EQ(exact.step_time_s, repeat.step_time_s);
 }
 
 }  // namespace
