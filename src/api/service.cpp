@@ -1,21 +1,12 @@
 #include "api/service.hpp"
 
-#include <chrono>
-
 #include "api/request_key.hpp"
+#include "common/clock.hpp"
 #include "model/graph.hpp"
 
 namespace temp::api {
 
 namespace {
-
-double
-now()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /// Validates an explicit uniform spec against a die budget; returns an
 /// error message or empty.
@@ -243,7 +234,7 @@ TempService::podFor(const hw::MultiWaferConfig &pod,
 Response
 TempService::finish(Response response, double start_time)
 {
-    response.wall_time_s = now() - start_time;
+    response.wall_time_s = common::monotonicSeconds() - start_time;
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.requests;
     return response;
@@ -259,7 +250,7 @@ Response
 TempService::run(const OptimizeRequest &request,
                  const solver::SolveBudget &budget)
 {
-    const double t0 = now();
+    const double t0 = common::monotonicSeconds();
     Response response;
     response.kind = RequestKind::Optimize;
     auto fw = frameworkFor(request.wafer, request.options,
@@ -279,7 +270,7 @@ TempService::run(const OptimizeRequest &request,
 Response
 TempService::run(const BaselineRequest &request)
 {
-    const double t0 = now();
+    const double t0 = common::monotonicSeconds();
     Response response;
     response.kind = RequestKind::Baseline;
     auto fw = frameworkFor(request.wafer, request.options,
@@ -296,7 +287,7 @@ TempService::run(const BaselineRequest &request)
 Response
 TempService::run(const StrategyRequest &request)
 {
-    const double t0 = now();
+    const double t0 = common::monotonicSeconds();
     Response response;
     response.kind = RequestKind::Strategy;
     response.error = checkSpec(request.spec, request.wafer.dieCount());
@@ -321,7 +312,7 @@ Response
 TempService::run(const FaultRequest &request,
                  const solver::SolveBudget &budget)
 {
-    const double t0 = now();
+    const double t0 = common::monotonicSeconds();
     Response response;
     response.kind = RequestKind::Fault;
     auto fw = frameworkFor(request.wafer, request.options,
@@ -367,7 +358,7 @@ TempService::run(const FaultRequest &request,
 Response
 TempService::run(const MultiWaferRequest &request)
 {
-    const double t0 = now();
+    const double t0 = common::monotonicSeconds();
     Response response;
     response.kind = RequestKind::MultiWafer;
 
@@ -422,7 +413,7 @@ TempService::run(const MultiWaferRequest &request)
 Response
 TempService::run(const CacheStatsRequest &)
 {
-    const double t0 = now();
+    const double t0 = common::monotonicSeconds();
     Response response;
     response.kind = RequestKind::CacheStats;
 
@@ -460,7 +451,7 @@ Response
 TempService::run(const ScenarioRequest &request,
                  const solver::SolveBudget &budget)
 {
-    const double t0 = now();
+    const double t0 = common::monotonicSeconds();
     Response response;
     response.kind = RequestKind::Scenario;
     if (request.events.empty()) {
@@ -516,13 +507,13 @@ TempService::submit(Request request)
     // queue wait + execution, and reporting only the execution span
     // (the historical bug) under-reports exactly when the service is
     // busiest.
-    const double enqueued = now();
+    const double enqueued = common::monotonicSeconds();
     return pool_.submit([this, enqueued,
                          request = std::move(request)] {
-        const double started = now();
+        const double started = common::monotonicSeconds();
         Response response = run(request);
         response.queue_time_s = started - enqueued;
-        response.wall_time_s = now() - enqueued;
+        response.wall_time_s = common::monotonicSeconds() - enqueued;
         return response;
     });
 }

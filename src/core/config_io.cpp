@@ -207,17 +207,23 @@ hw::WaferConfig
 waferFromConfigOrThrow(const ConfigMap &config)
 {
     hw::WaferConfig wafer = hw::WaferConfig::paperDefault();
-    double hbm_stacks = wafer.hbm.stacks_per_die;
     double hbm_gb = 72.0;
     double hbm_tbps = 1.0;
 
     for (const auto &[key, value] : config) {
+        // Counts take the checked int parse; the rest are quantities.
+        if (key == "rows" || key == "cols" || key == "hbm_stacks") {
+            const int count = toInt(key, value, 1);
+            if (key == "rows")
+                wafer.rows = count;
+            else if (key == "cols")
+                wafer.cols = count;
+            else
+                wafer.hbm.stacks_per_die = count;
+            continue;
+        }
         const double v = toNumber(key, value);
-        if (key == "rows") {
-            wafer.rows = static_cast<int>(v);
-        } else if (key == "cols") {
-            wafer.cols = static_cast<int>(v);
-        } else if (key == "peak_tflops") {
+        if (key == "peak_tflops") {
             wafer.die.peak_flops = tflops(v);
         } else if (key == "sram_mb") {
             wafer.die.sram_bytes = megabytes(v);
@@ -229,8 +235,6 @@ waferFromConfigOrThrow(const ConfigMap &config)
             wafer.d2d.latency_s = v * kNano;
         } else if (key == "d2d_pj_per_bit") {
             wafer.d2d.energy_pj_per_bit = v;
-        } else if (key == "hbm_stacks") {
-            hbm_stacks = v;
         } else if (key == "hbm_gb_per_stack") {
             hbm_gb = v;
         } else if (key == "hbm_tbps_per_stack") {
@@ -243,12 +247,9 @@ waferFromConfigOrThrow(const ConfigMap &config)
             cfgFail("config: unknown wafer key '%s'", key.c_str());
         }
     }
-    wafer.hbm.stacks_per_die = static_cast<int>(hbm_stacks);
+    const double hbm_stacks = wafer.hbm.stacks_per_die;
     wafer.hbm.capacity_bytes = hbm_stacks * gigabytes(hbm_gb);
     wafer.hbm.bandwidth_bytes_per_s = hbm_stacks * tbPerSec(hbm_tbps);
-    if (wafer.rows < 1 || wafer.cols < 1)
-        cfgFail("config: invalid wafer grid %dx%d", wafer.rows,
-                wafer.cols);
     return wafer;
 }
 
@@ -279,7 +280,7 @@ modelFromConfigOrThrow(const ConfigMap &config)
             model.name = value;
             continue;
         }
-        const int v = static_cast<int>(toNumber(key, value));
+        const int v = toInt(key, value, 1);
         if (key == "heads")
             model.heads = v;
         else if (key == "batch")
@@ -297,8 +298,6 @@ modelFromConfigOrThrow(const ConfigMap &config)
         else
             cfgFail("config: unknown model key '%s'", key.c_str());
     }
-    if (model.heads < 1 || model.hidden < 1)
-        cfgFail("config: heads and hidden must be positive");
     if (model.hidden % model.heads != 0)
         cfgFail("config: hidden (%d) must divide by heads (%d)",
                 model.hidden, model.heads);

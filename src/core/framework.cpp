@@ -25,10 +25,7 @@ TempFramework::TempFramework(hw::WaferConfig wafer_config,
         steps_->setMaxEntries(options.cache.max_step_entries);
         steps_->setMaxBytes(options.cache.max_step_bytes);
         exact_->setCacheBudget(options.cache);
-        sim_->layoutCache().setMaxEntries(
-            options.cache.max_layout_entries);
-        sim_->layoutCache().setMaxBytes(options.cache.max_layout_bytes);
-        sim_->costModel().setCacheBudgets(options.cache);
+        sim_->setCacheBudget(options.cache);
     }
 }
 
@@ -69,6 +66,7 @@ TempFramework::cacheStats() const
         {"layouts", layouts},
         {"schedules", sim_->costModel().scheduleCacheStats()},
         {"routes", sim_->costModel().routePoolStats()},
+        {"sim_cells", sim_->cellCacheStats()},
     };
 }
 
@@ -114,10 +112,7 @@ DegradedContext::DegradedContext(const hw::WaferConfig &config,
         steps_.setMaxEntries(options.cache.max_step_entries);
         steps_.setMaxBytes(options.cache.max_step_bytes);
         exact_.setCacheBudget(options.cache);
-        sim_.layoutCache().setMaxEntries(
-            options.cache.max_layout_entries);
-        sim_.layoutCache().setMaxBytes(options.cache.max_layout_bytes);
-        sim_.costModel().setCacheBudgets(options.cache);
+        sim_.setCacheBudget(options.cache);
     }
 }
 

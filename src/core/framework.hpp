@@ -226,8 +226,9 @@ class TempFramework
      * as (layer name, counters) pairs: eval_breakdowns (the shared
      * CachingEvaluator memo), step_reports, layouts (simulator +
      * exact-evaluator layout caches combined), schedules (the shared
-     * net::ScheduleCache) and routes (the Router pool). The layer
-     * names are the CacheStatsRequest JSON vocabulary.
+     * net::ScheduleCache), routes (the Router pool) and sim_cells (the
+     * simulator's per-op cell memo). The layer names are the
+     * CacheStatsRequest JSON vocabulary.
      */
     std::vector<std::pair<std::string, common::CacheStats>> cacheStats()
         const;

@@ -58,7 +58,7 @@ WaferCostModel::timeCollectiveTasks(
     // Lower every task through the shared schedule cache (content-keyed
     // on the task signature, invalidated by the wafer's fault epoch).
     const std::uint64_t epoch = wafer_.faultEpoch();
-    std::vector<std::shared_ptr<const net::CommSchedule>> lowered;
+    std::vector<std::shared_ptr<const net::LoweredSchedule>> lowered;
     lowered.reserve(tasks.size());
     bool feasible = true;
     for (const net::CollectiveTask &task : tasks) {
@@ -77,21 +77,25 @@ WaferCostModel::timeCollectiveTasks(
         return timing;
     }
 
-    // Single-task fast path: no overlay combination needed, and when no
-    // traffic optimisation runs the cached schedule is evaluated in
-    // place — the common case of the matrix fill costs zero copies.
+    // Single-task fast path: no overlay combination needed, and the
+    // entry's memoized single-task cost (optimize + evaluate, computed
+    // by its first user) is served without copying the schedule.
     if (tasks.size() == 1) {
-        const net::CommSchedule &single = *lowered.front();
-        if (!policy_.contentionOptimization()) {
-            if (link_bytes != nullptr)
-                *link_bytes += single.linkBytes();
-            return contention_.evaluateSequence(single);
-        }
-        net::CommSchedule optimized = single;
-        optimizer_.optimize(optimized);
+        const net::SingleTaskCost &single = lowered.front()->singleTaskCost(
+            [this](const net::CommSchedule &schedule) {
+                if (!policy_.contentionOptimization())
+                    return net::SingleTaskCost{
+                        contention_.evaluateSequence(schedule),
+                        schedule.linkBytes()};
+                net::CommSchedule optimized = schedule;
+                optimizer_.optimize(optimized);
+                return net::SingleTaskCost{
+                    contention_.evaluateSequence(optimized),
+                    optimized.linkBytes()};
+            });
         if (link_bytes != nullptr)
-            *link_bytes += optimized.linkBytes();
-        return contention_.evaluateSequence(optimized);
+            *link_bytes += single.link_bytes;
+        return single.timing;
     }
 
     // Overlay same-kind rounds in one pass: groups of one axis run

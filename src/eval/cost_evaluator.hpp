@@ -133,6 +133,10 @@ class LayoutCache
     /// Governance counters for CacheStatsRequest reporting.
     common::CacheStats cacheStats() const { return cache_.stats(); }
 
+    /// Drops every layout (counters are kept); a fault change moves
+    /// where layouts place their groups.
+    void clear() { cache_.clear(); }
+
     const cost::WaferCostModel &costModel() const { return model_; }
 
   private:

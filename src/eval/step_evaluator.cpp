@@ -182,12 +182,13 @@ StepStats
 StepEvaluator::stats() const
 {
     // Evictions cover the layers a step query touches: the report
-    // memo plus the simulator's own layout cache (the matrix side's
-    // layout cache is counted by EvalStats, not here).
+    // memo plus the simulator's own layout cache and cell memo (the
+    // matrix side's layout cache is counted by EvalStats, not here).
     return {sims_.load(), cache_hits_.load(), schedule_lowerings_.load(),
             schedule_cache_hits_.load(),
             cache_.stats().evictions +
-                sim_.layoutCache().cacheStats().evictions};
+                sim_.layoutCache().cacheStats().evictions +
+                sim_.cellCacheStats().evictions};
 }
 
 }  // namespace temp::eval

@@ -64,19 +64,20 @@ ScheduleCache::ScheduleCache(const CollectiveScheduler &scheduler)
     : scheduler_(scheduler)
 {
     cache_.setByteEstimate(
-        [](const Key &key, const std::shared_ptr<const CommSchedule> &s) {
+        [](const Key &key,
+           const std::shared_ptr<const LoweredSchedule> &s) {
             long bytes = static_cast<long>(
                 sizeof(Key) + key.group.capacity() * sizeof(DieId));
             if (s != nullptr)
                 bytes += static_cast<long>(
-                    sizeof(CommSchedule) +
+                    sizeof(LoweredSchedule) +
                     s->flowCount() * sizeof(Flow) +
                     s->soaByteEstimate());
             return bytes;
         });
 }
 
-std::shared_ptr<const CommSchedule>
+std::shared_ptr<const LoweredSchedule>
 ScheduleCache::lowered(const CollectiveTask &task, std::uint64_t fault_epoch,
                        bool *hit)
 {
@@ -133,7 +134,7 @@ ScheduleCache::lowered(const CollectiveTask &task, std::uint64_t fault_epoch,
     CommSchedule built = scheduler_.schedule(task);
     built.finalize();
     auto schedule =
-        std::make_shared<const CommSchedule>(std::move(built));
+        std::make_shared<const LoweredSchedule>(std::move(built));
     ++lowerings_;
     if (hit != nullptr)
         *hit = false;
@@ -183,7 +184,7 @@ ScheduleCache::exportTasks() const
     tasks.reserve(cache_.size());
     cache_.forEachResident(
         [&](const Key &key,
-            const std::shared_ptr<const CommSchedule> &) {
+            const std::shared_ptr<const LoweredSchedule> &) {
             tasks.push_back(
                 CollectiveTask{key.kind, key.group,
                                std::bit_cast<double>(key.bytes_bits),

@@ -26,12 +26,20 @@
  * Cached schedules are shared immutable snapshots: consumers that
  * mutate (the traffic optimizer rewrites routes in place) must copy
  * first. Flow copies are cheap — routes are pooled RouteRefs.
+ *
+ * Single-task cost: each entry also memoizes what running its schedule
+ * alone costs (the single-task path of
+ * WaferCostModel::timeCollectiveTasks: optimize a copy, then evaluate
+ * it), computed by the first caller and shared after. The value lives
+ * inside the entry, so eviction, epoch flushes and byte budgets cover
+ * it together with the schedule it was computed from.
  */
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 
 #include "common/bounded_cache.hpp"
@@ -62,6 +70,41 @@ struct ScheduleCacheStats
     }
 };
 
+/// What running one cached schedule on its own costs.
+struct SingleTaskCost
+{
+    PhaseTiming timing;
+    double link_bytes = 0.0;  ///< bytes x hops of the timed schedule
+};
+
+/**
+ * A cached lowering plus its lazily computed single-task cost. Every
+ * caller of one cache must pass the same cost function (the cache
+ * belongs to one cost model, whose policy fixes it); the first call
+ * computes, concurrent callers wait for it, later ones read it.
+ */
+class LoweredSchedule : public CommSchedule
+{
+  public:
+    explicit LoweredSchedule(CommSchedule schedule)
+        : CommSchedule(std::move(schedule))
+    {
+    }
+
+    template <typename Fn>
+    const SingleTaskCost &singleTaskCost(Fn &&compute) const
+    {
+        std::call_once(single_once_, [&] {
+            single_ = compute(static_cast<const CommSchedule &>(*this));
+        });
+        return single_;
+    }
+
+  private:
+    mutable std::once_flag single_once_;
+    mutable SingleTaskCost single_;
+};
+
 /// Thread-safe memo of CollectiveTask -> lowered CommSchedule.
 class ScheduleCache
 {
@@ -79,9 +122,9 @@ class ScheduleCache
      *
      * @param hit Optional out-flag: true when served from the cache.
      */
-    std::shared_ptr<const CommSchedule> lowered(const CollectiveTask &task,
-                                                std::uint64_t fault_epoch,
-                                                bool *hit = nullptr);
+    std::shared_ptr<const LoweredSchedule> lowered(
+        const CollectiveTask &task, std::uint64_t fault_epoch,
+        bool *hit = nullptr);
 
     /**
      * Cumulative counters since construction (survive epoch flushes
@@ -104,7 +147,8 @@ class ScheduleCache
     void setMaxEntries(std::size_t max_entries);
 
     /// Byte budget within the live epoch (0 = unbounded), over the
-    /// honest per-entry estimate (key group + arena + SoA view).
+    /// honest per-entry estimate (key group + arena + SoA view +
+    /// single-task cost slot).
     void setMaxBytes(long max_bytes);
 
     /**
@@ -176,7 +220,7 @@ class ScheduleCache
     /// hit path branches on boundedness before locking).
     std::atomic<std::size_t> max_entries_{0};
     std::atomic<long> max_bytes_{0};
-    common::LruMap<Key, std::shared_ptr<const CommSchedule>, KeyHash,
+    common::LruMap<Key, std::shared_ptr<const LoweredSchedule>, KeyHash,
                    KeyEqual>
         cache_;
     std::atomic<long> lowerings_{0};

@@ -1,22 +1,14 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
-#include <chrono>
 
+#include "common/clock.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 
 namespace temp::scenario {
 
 namespace {
-
-double
-now()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 std::uint64_t
 foldU64(std::uint64_t hash, std::uint64_t value)
@@ -213,7 +205,7 @@ ScenarioEngine::replay(const model::ModelConfig &initial_model,
         er.kind = event.kind;
         er.throughput_before = per_wafer_tput * wafer_count_;
 
-        const double t0 = now();
+        const double t0 = common::monotonicSeconds();
         bool solve_needed = false;
         bool allow_warm = true;
         switch (event.kind) {
@@ -330,7 +322,7 @@ ScenarioEngine::replay(const model::ModelConfig &initial_model,
                                  ? last_feasible_report_.step_time
                                  : 0.0;
         }
-        er.recovery_wall_s = now() - t0;
+        er.recovery_wall_s = common::monotonicSeconds() - t0;
         er.throughput_after = per_wafer_tput * wafer_count_;
         er.usable_dies = usable_dies;
         er.failed_links = faults_.failedLinkCount();

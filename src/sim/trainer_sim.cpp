@@ -19,6 +19,28 @@ TrainingSimulator::TrainingSimulator(const hw::Wafer &wafer,
     : wafer_(wafer), cost_model_(wafer, policy, options),
       layout_cache_(cost_model_)
 {
+    // Layouts place groups around the faults and cells bake the
+    // fault state in, so a setFaults() on the live wafer drops both
+    // (the cost model flushes its own network caches the same way).
+    epoch_listener_id_ = wafer_.addEpochListener([this](std::uint64_t) {
+        layout_cache_.clear();
+        cells_.clear();
+    });
+}
+
+TrainingSimulator::~TrainingSimulator()
+{
+    wafer_.removeEpochListener(epoch_listener_id_);
+}
+
+void
+TrainingSimulator::setCacheBudget(const common::CacheBudget &budget)
+{
+    layout_cache_.setMaxEntries(budget.max_layout_entries);
+    layout_cache_.setMaxBytes(budget.max_layout_bytes);
+    cells_.setCapacity(budget.max_eval_entries);
+    cells_.setMaxBytes(budget.max_eval_bytes);
+    cost_model_.setCacheBudgets(budget);
 }
 
 PerfReport
@@ -209,6 +231,7 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
     // collection and resharding.
     std::vector<cost::OpCostBreakdown> cells;
     cells.reserve(graph.opCount());
+    const std::uint64_t graph_fp = eval::graphFingerprint(graph);
 
     for (int i = 0; i < graph.opCount(); ++i) {
         const model::Operator &op = graph.op(i);
@@ -221,8 +244,17 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
         const GroupLayout &layout = layout_for(spec);
         const OpExecution exec =
             cost_model_.partitioner().analyze(op, layout);
-        const cost::OpCostBreakdown c =
-            cost_model_.opCost(exec, op, layout, /*include_step=*/false);
+        const std::string key = eval::evalKey(
+            graph_fp, eval::EvalRequest{i, spec, /*include_step=*/false});
+        cost::OpCostBreakdown c;
+        if (auto cached = cells_.get(key)) {
+            c = *cached;
+            eval::markScheduleServed(c);
+        } else {
+            c = cost_model_.opCost(exec, op, layout,
+                                   /*include_step=*/false);
+            cells_.insert(key, c);
+        }
         report.schedule_lowerings += c.schedule_lowerings;
         report.schedule_cache_hits += c.schedule_cache_hits;
         if (!c.feasible) {

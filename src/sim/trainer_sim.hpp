@@ -24,6 +24,12 @@ class TrainingSimulator
                       parallel::TrainingOptions options =
                           parallel::TrainingOptions());
 
+    /// Unregisters the fault-epoch listener (see constructor).
+    ~TrainingSimulator();
+
+    TrainingSimulator(const TrainingSimulator &) = delete;
+    TrainingSimulator &operator=(const TrainingSimulator &) = delete;
+
     /**
      * Simulates one training step.
      *
@@ -54,13 +60,21 @@ class TrainingSimulator
      * on (graph, spec), so repeated simulations — the GA fitness loop
      * alone issues hundreds with recurring specs — build each layout
      * once across calls instead of once per call. Thread-safe, which
-     * also makes concurrent simulate() calls safe (the rest of the
-     * simulator is stateless).
+     * also makes concurrent simulate() calls safe (the cell memo is
+     * thread-safe too; the rest of the simulator is stateless).
      */
     const eval::LayoutCache &layoutCache() const { return layout_cache_; }
 
-    /// Mutable access for cache governance (budget application).
-    eval::LayoutCache &layoutCache() { return layout_cache_; }
+    /**
+     * Applies the memo budgets this simulator is subject to: the
+     * layout cache (eval.cache.max_layouts / max_layout_bytes), the
+     * cell memo (eval.cache.max_entries / max_bytes, the budget of the
+     * matrix cells it mirrors) and the cost model's network caches.
+     */
+    void setCacheBudget(const common::CacheBudget &budget);
+
+    /// Governance counters of the per-op cell memo (see simulateMicro).
+    common::CacheStats cellCacheStats() const { return cells_.stats(); }
 
   private:
     /// Simulates one microbatch pass (no accumulation logic).
@@ -78,6 +92,18 @@ class TrainingSimulator
     const hw::Wafer &wafer_;
     cost::WaferCostModel cost_model_;
     mutable eval::LayoutCache layout_cache_;
+    /**
+     * Per-op cells of simulateMicro: opCost(exec, op, layout,
+     * include_step=false) keyed by eval::evalKey. A step simulation
+     * re-costs every op, and successive candidate plans share most of
+     * their (op, spec) cells, so each cell is costed once per fault
+     * epoch. Thread-safe (StepEvaluator batches simulate concurrently).
+     */
+    mutable common::BoundedCache<std::string, cost::OpCostBreakdown>
+        cells_;
+    /// Registration id of the wafer epoch listener that flushes the
+    /// layout cache and the cell memo on setFaults().
+    std::uint64_t epoch_listener_id_ = 0;
 };
 
 }  // namespace temp::sim

@@ -1,12 +1,12 @@
 #include "solver/dls_solver.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <functional>
 #include <limits>
 #include <memory>
 
+#include "common/clock.hpp"
 #include "common/kernels.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -16,18 +16,6 @@
 namespace temp::solver {
 
 using parallel::ParallelSpec;
-
-namespace {
-
-double
-now()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-}  // namespace
 
 DlsSolver::DlsSolver(const sim::TrainingSimulator &simulator,
                      SolverConfig config, eval::CostEvaluator *evaluator,
@@ -135,7 +123,7 @@ DlsSolver::solve(const model::ComputeGraph &graph,
                  const SolveHints *hints,
                  const SolveBudget &budget) const
 {
-    const double t_start = now();
+    const double t_start = common::monotonicSeconds();
     SolverResult result;
 
     // One gauge per solve, metering the tighter of the configured
@@ -407,7 +395,7 @@ DlsSolver::solve(const model::ComputeGraph &graph,
     result.report = steps_->evaluate(graph, result.per_op_specs, &gauge);
     ++result.evaluations;
     result.step_time_s = result.report.step_time;
-    result.search_time_s = now() - t_start;
+    result.search_time_s = common::monotonicSeconds() - t_start;
     record_steps();
     return result;
 }
@@ -430,7 +418,7 @@ SolverResult
 ExhaustiveSolver::solve(const model::ComputeGraph &graph, int op_limit,
                         double time_budget_s) const
 {
-    const double t_start = now();
+    const double t_start = common::monotonicSeconds();
     SolverResult result;
 
     const std::vector<ParallelSpec> candidates = enumerateStrategies(
@@ -483,7 +471,7 @@ ExhaustiveSolver::solve(const model::ComputeGraph &graph, int op_limit,
         if (timed_out || partial >= best_cost)
             return;
         if ((result.evaluations & 0xfff) == 0 &&
-            now() - t_start > time_budget_s) {
+            common::monotonicSeconds() - t_start > time_budget_s) {
             timed_out = true;
             return;
         }
@@ -508,7 +496,7 @@ ExhaustiveSolver::solve(const model::ComputeGraph &graph, int op_limit,
     };
     dfs(0, 0.0);
 
-    result.search_time_s = now() - t_start;
+    result.search_time_s = common::monotonicSeconds() - t_start;
     if (best.empty() || timed_out)
         return result;
 

@@ -79,23 +79,27 @@ ChainMapper::orderAsChain(std::vector<hw::DieId> dies) const
     }
 
     // 2-opt: reverse segments while that shortens the total hop length.
-    auto seg_cost = [&](const std::vector<hw::DieId> &c) {
-        int cost = 0;
-        for (std::size_t i = 0; i + 1 < c.size(); ++i)
-            cost += mesh_.hopDistance(c[i], c[i + 1]);
-        return cost;
+    // Reversing chain[i..j] only replaces its two boundary edges (the
+    // inner edges reappear reversed, and hop distances are symmetric
+    // integers), so the exact change in total length is the boundary
+    // delta and every accept decision matches a full rescore.
+    const std::size_t n = chain.size();
+    auto hop = [&](std::size_t a, std::size_t b) {
+        return mesh_.hopDistance(chain[a], chain[b]);
     };
     bool improved = true;
     int guard = 0;
     while (improved && guard++ < 64) {
         improved = false;
-        for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-            for (std::size_t j = i + 1; j < chain.size(); ++j) {
-                std::vector<hw::DieId> candidate = chain;
-                std::reverse(candidate.begin() + i,
-                             candidate.begin() + j + 1);
-                if (seg_cost(candidate) < seg_cost(chain)) {
-                    chain = std::move(candidate);
+        for (std::size_t i = 0; i + 1 < n; ++i) {
+            for (std::size_t j = i + 1; j < n; ++j) {
+                int delta = 0;
+                if (i > 0)
+                    delta += hop(i - 1, j) - hop(i - 1, i);
+                if (j + 1 < n)
+                    delta += hop(i, j + 1) - hop(j, j + 1);
+                if (delta < 0) {
+                    std::reverse(chain.begin() + i, chain.begin() + j + 1);
                     improved = true;
                 }
             }

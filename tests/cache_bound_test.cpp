@@ -247,7 +247,7 @@ TEST(CacheBound, BudgetTwoSolveIsBitIdenticalToUnbounded)
     // twice the per-cache budget).
     for (const auto &[layer, stats] : bounded.cacheStats()) {
         if (layer == "eval_breakdowns" || layer == "step_reports" ||
-            layer == "schedules")
+            layer == "schedules" || layer == "sim_cells")
             EXPECT_LE(stats.entries, 2) << layer;
         else if (layer == "layouts")
             EXPECT_LE(stats.entries, 4) << layer;
@@ -283,7 +283,7 @@ TEST(CacheBound, ByteBudgetedSolveIsBitIdenticalAndVisible)
     // aggregates two caches, so its bound is twice the per-cache
     // budget; the route pool is unbudgeted here).
     for (const auto &[layer, stats] : bounded.cacheStats()) {
-        if (layer == "eval_breakdowns")
+        if (layer == "eval_breakdowns" || layer == "sim_cells")
             EXPECT_LE(stats.bytes_est, 64 << 10) << layer;
         else if (layer == "step_reports")
             EXPECT_LE(stats.bytes_est, 8 << 10) << layer;
@@ -316,7 +316,8 @@ TEST(CacheBound, ServiceBudgetsHoldAfterEveryRequestAndEvictLru)
                 EXPECT_LE(layer.stats.entries, 1);
             else if (layer.layer == "eval_breakdowns" ||
                      layer.layer == "step_reports" ||
-                     layer.layer == "schedules")
+                     layer.layer == "schedules" ||
+                     layer.layer == "sim_cells")
                 EXPECT_LE(layer.stats.entries, 2) << layer.layer;
             else if (layer.layer == "layouts")
                 EXPECT_LE(layer.stats.entries, 4) << layer.layer;
@@ -356,7 +357,8 @@ TEST(CacheBound, ServiceBudgetsHoldAfterEveryRequestAndEvictLru)
         api::toJson(service.run(api::CacheStatsRequest{}));
     for (const char *layer :
          {"service_frameworks", "service_pods", "eval_breakdowns",
-          "step_reports", "layouts", "schedules", "routes"})
+          "step_reports", "layouts", "schedules", "routes",
+          "sim_cells"})
         EXPECT_NE(json.find(layer), std::string::npos) << layer;
     EXPECT_NE(json.find("\"evictions\":"), std::string::npos);
 }

@@ -213,6 +213,46 @@ TEST(FrameworkOptionsConfig, NumericValuesAreValidatedNotCast)
     EXPECT_EQ(options.cache.max_eval_entries, 4000);
 }
 
+TEST(WaferAndModelConfig, IntKeysAreValidatedNotCast)
+{
+    // Grid sizes, HBM stacks and model dimensions are counts: a value
+    // that is not a whole number in [1, INT_MAX] is an error with a
+    // message, never a cast.
+    for (const char *value : {"1e12", "-3", "2.5", "nan"}) {
+        for (const char *key : {"rows", "cols", "hbm_stacks"}) {
+            try {
+                waferFromConfigOrThrow({{key, value}});
+                ADD_FAILURE() << key << " = " << value << " accepted";
+            } catch (const ConfigError &error) {
+                EXPECT_NE(std::string(error.what()).find(key),
+                          std::string::npos)
+                    << error.what();
+            }
+        }
+        for (const char *key : {"heads", "batch", "hidden", "layers",
+                                "seq", "ffn_mult", "vocab"}) {
+            try {
+                modelFromConfigOrThrow(
+                    {{"base", "GPT-3 6.7B"}, {key, value}});
+                ADD_FAILURE() << key << " = " << value << " accepted";
+            } catch (const ConfigError &error) {
+                EXPECT_NE(std::string(error.what()).find(key),
+                          std::string::npos)
+                    << error.what();
+            }
+        }
+    }
+    // Whole numbers in range still parse, in any notation.
+    const hw::WaferConfig wafer =
+        waferFromConfigOrThrow({{"rows", "8"}, {"hbm_stacks", "2e0"}});
+    EXPECT_EQ(wafer.rows, 8);
+    EXPECT_EQ(wafer.hbm.stacks_per_die, 2);
+    EXPECT_EQ(modelFromConfigOrThrow({{"base", "GPT-3 6.7B"},
+                                      {"layers", "48"}})
+                  .layers,
+              48);
+}
+
 TEST(ConfigFileDetection, DotConfSuffixOnly)
 {
     EXPECT_TRUE(isConfigFile("wafer.conf"));

@@ -3,8 +3,9 @@
  * Tests for the network hot path's schedule layer: ScheduleCache
  * hit/miss accounting, bit-exact cached vs. uncached timings,
  * fault-epoch invalidation (injected faults must not reuse stale
- * routes), flat-arena CommSchedule invariants, and determinism of the
- * whole stack across eval_threads.
+ * routes), the entries' memoized single-task cost, flat-arena
+ * CommSchedule invariants, and determinism of the whole stack across
+ * eval_threads.
  */
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "model/model_zoo.hpp"
 #include "net/collective.hpp"
 #include "net/schedule_cache.hpp"
+#include "tcme/optimizer.hpp"
 
 namespace temp::net {
 namespace {
@@ -152,6 +154,101 @@ TEST(ScheduleCache, CostModelReactsToLiveFaultInjection)
     EXPECT_GT(after.lowerings, before.lowerings);
     // ...and the detour costs more wall time than the healthy ring.
     EXPECT_GT(degraded.time_s, healthy.time_s);
+}
+
+TEST(ScheduleCache, StoredSingleTaskCostEqualsFreshOptimizeAndEvaluate)
+{
+    hw::Wafer wafer(hw::WaferConfig::paperDefault());
+    cost::WaferCostModel model(
+        wafer, tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
+    // The single-task path by hand: lower, optimize a copy, evaluate.
+    Router router(wafer.topology(), &wafer.faults());
+    CollectiveScheduler scheduler(router);
+    tcme::TrafficOptimizer optimizer(router);
+    ContentionModel contention(wafer, wafer.config().d2d.latency_s);
+
+    int optimized_away = 0;  // tasks the optimizer rerouted or merged
+    int tasks = 0;
+    for (CollectiveKind kind :
+         {CollectiveKind::AllReduce, CollectiveKind::AllGather}) {
+        for (int size : {2, 4, 8, 16}) {
+            CollectiveTask task = allReduceTask({}, 2e6 * size);
+            task.kind = kind;
+            for (int i = 0; i < size; ++i)
+                task.group.push_back((i * 5) % wafer.dieCount());
+            ++tasks;
+
+            CommSchedule fresh = scheduler.schedule(task);
+            fresh.finalize();
+            const tcme::OptimizationStats moved =
+                optimizer.optimize(fresh);
+            const PhaseTiming expected =
+                contention.evaluateSequence(fresh);
+            if (moved.reroutes + moved.merges > 0)
+                ++optimized_away;
+
+            // The first call computes the entry's cost, the second
+            // reads it.
+            for (int call = 0; call < 2; ++call) {
+                double link_bytes = 0.0;
+                const PhaseTiming timing =
+                    model.timeCollectiveTasks({task}, &link_bytes);
+                EXPECT_EQ(timing.time_s, expected.time_s) << size;
+                EXPECT_EQ(timing.total_bytes, expected.total_bytes);
+                EXPECT_EQ(timing.link_bytes, expected.link_bytes);
+                EXPECT_EQ(timing.bottleneck_link,
+                          expected.bottleneck_link);
+                EXPECT_EQ(timing.bandwidth_utilization,
+                          expected.bandwidth_utilization);
+                EXPECT_EQ(link_bytes, fresh.linkBytes());
+            }
+        }
+    }
+    // The optimizer must have changed some schedule, or this test
+    // could not tell the optimized cost from the unoptimized one.
+    EXPECT_GT(optimized_away, 0);
+    EXPECT_EQ(model.scheduleStats().lowerings, tasks);
+    EXPECT_EQ(model.scheduleStats().hits, tasks);
+}
+
+TEST(ScheduleCache, EvictedOrFlushedSingleTaskCostRecomputes)
+{
+    hw::Wafer wafer(hw::WaferConfig::paperDefault());
+    cost::WaferCostModel model(
+        wafer, tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
+    common::CacheBudget budget;
+    budget.max_schedule_entries = 1;
+    model.setCacheBudgets(budget);
+
+    const std::vector<CollectiveTask> a{allReduceTask({0, 1, 2, 3}, 8e6)};
+    const std::vector<CollectiveTask> b{
+        allReduceTask({4, 5, 6, 7, 12, 13}, 8e6)};
+    const PhaseTiming first = model.timeCollectiveTasks(a);
+    EXPECT_EQ(model.scheduleStats().lowerings, 1);
+
+    // Evicted by b under the 1-entry budget: a re-lowers, recounts as
+    // a lowering, and recomputes the same cost.
+    (void)model.timeCollectiveTasks(b);
+    const PhaseTiming evicted = model.timeCollectiveTasks(a);
+    EXPECT_EQ(model.scheduleStats().lowerings, 3);
+    EXPECT_EQ(model.scheduleStats().hits, 0);
+    EXPECT_EQ(evicted.time_s, first.time_s);
+    EXPECT_EQ(evicted.link_bytes, first.link_bytes);
+
+    // Flushed by a fault-epoch change (to the same healthy state): the
+    // same again.
+    wafer.setFaults(
+        hw::FaultMap(wafer.dieCount(), wafer.topology().linkCount()));
+    EXPECT_EQ(model.scheduleCacheStats().entries, 0);
+    const PhaseTiming flushed = model.timeCollectiveTasks(a);
+    EXPECT_EQ(model.scheduleStats().lowerings, 4);
+    EXPECT_EQ(flushed.time_s, first.time_s);
+    EXPECT_EQ(flushed.link_bytes, first.link_bytes);
+
+    // Resident again: served, not recomputed.
+    EXPECT_EQ(model.timeCollectiveTasks(a).time_s, first.time_s);
+    EXPECT_EQ(model.scheduleStats().lowerings, 4);
+    EXPECT_EQ(model.scheduleStats().hits, 1);
 }
 
 TEST(CommSchedule, FlatArenaRoundsPartitionTheFlowArena)

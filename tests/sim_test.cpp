@@ -2,10 +2,13 @@
  * @file
  * Tests for the simulation layer: single-wafer training steps (with
  * gradient accumulation and recompute fallbacks), multi-wafer pipeline
- * simulation, and the GPU-cluster reference.
+ * simulation, and the GPU-cluster reference; the per-op cell memo and
+ * its fault-epoch flush.
  */
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.hpp"
+#include "eval/step_evaluator.hpp"
 #include "model/graph.hpp"
 #include "model/model_zoo.hpp"
 #include "sim/gpu_cluster.hpp"
@@ -151,6 +154,135 @@ TEST_F(TrainerSimTest, TatpSweetSpotBetweenExtremes)
     const double t_tp = run("GPT-3 175B", spec(1, 8, 1, 4)).step_time;
     EXPECT_LT(t2, t_tp);
     (void)t32;
+}
+
+/// Bit-identity of two step reports over every timing, memory and
+/// energy field, plus the schedule lookups behind them (the
+/// lowerings/hits split is attribution; the sum is the work).
+void
+expectSameReport(const PerfReport &a, const PerfReport &b)
+{
+    EXPECT_EQ(a.feasible, b.feasible);
+    EXPECT_EQ(a.oom, b.oom);
+    EXPECT_EQ(a.grad_accum, b.grad_accum);
+    EXPECT_EQ(a.recompute, b.recompute);
+    EXPECT_EQ(a.step_time, b.step_time);
+    EXPECT_EQ(a.comp_time, b.comp_time);
+    EXPECT_EQ(a.collective_time, b.collective_time);
+    EXPECT_EQ(a.stream_comm_time, b.stream_comm_time);
+    EXPECT_EQ(a.exposed_comm, b.exposed_comm);
+    EXPECT_EQ(a.reshard_time, b.reshard_time);
+    EXPECT_EQ(a.grad_sync_time, b.grad_sync_time);
+    EXPECT_EQ(a.grad_sync_link_bytes, b.grad_sync_link_bytes);
+    EXPECT_EQ(a.tail_latency, b.tail_latency);
+    EXPECT_EQ(a.peak_mem_bytes, b.peak_mem_bytes);
+    EXPECT_EQ(a.energy.total(), b.energy.total());
+    EXPECT_EQ(a.avg_power_w, b.avg_power_w);
+    EXPECT_EQ(a.bw_utilization, b.bw_utilization);
+    EXPECT_EQ(a.total_flops, b.total_flops);
+    EXPECT_EQ(a.throughput_tokens_per_s, b.throughput_tokens_per_s);
+    EXPECT_EQ(a.schedule_lowerings + a.schedule_cache_hits,
+              b.schedule_lowerings + b.schedule_cache_hits);
+}
+
+/// Candidate plans with shared and distinct (op, spec) cells.
+std::vector<std::vector<ParallelSpec>>
+candidatePlans(const model::ComputeGraph &graph)
+{
+    std::vector<std::vector<ParallelSpec>> plans;
+    for (const ParallelSpec &base :
+         {spec(4, 1, 1, 8), spec(2, 4, 1, 2), spec(8, 2, 1, 2)}) {
+        plans.emplace_back(graph.opCount(), base);
+        std::vector<ParallelSpec> mixed(graph.opCount(), base);
+        mixed[graph.opCount() / 2] = spec(32, 1, 1, 1);
+        plans.push_back(mixed);
+    }
+    return plans;
+}
+
+TEST_F(TrainerSimTest, CellMemoServesBitIdenticalReports)
+{
+    const auto graph = model::ComputeGraph::transformer(
+        model::modelByName("GPT-3 6.7B"));
+    const auto plans = candidatePlans(graph);
+
+    // A fresh simulator per plan costs every cell; the shared one
+    // serves repeats (within and across plans) from its cell memo.
+    TrainingSimulator bounded(
+        wafer_, tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
+    common::CacheBudget one_cell;
+    one_cell.max_eval_entries = 1;
+    bounded.setCacheBudget(one_cell);
+    for (int pass = 0; pass < 2; ++pass) {
+        for (const auto &plan : plans) {
+            TrainingSimulator fresh(
+                wafer_,
+                tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
+            const PerfReport expected = fresh.simulate(graph, plan);
+            ASSERT_TRUE(expected.feasible);
+            expectSameReport(sim_.simulate(graph, plan), expected);
+            expectSameReport(bounded.simulate(graph, plan), expected);
+        }
+    }
+    const common::CacheStats cells = sim_.cellCacheStats();
+    EXPECT_GT(cells.hits, cells.misses);
+    EXPECT_EQ(cells.evictions, 0);
+    // The 1-entry budget holds, and its pressure is visible.
+    EXPECT_LE(bounded.cellCacheStats().entries, 1);
+    EXPECT_GT(bounded.cellCacheStats().evictions, 0);
+}
+
+TEST_F(TrainerSimTest, CellMemoIsBitIdenticalAcrossEvalThreads)
+{
+    // StepEvaluator batches simulate concurrently, so worker threads
+    // hit one simulator's cell memo at the same time.
+    const auto graph = model::ComputeGraph::transformer(
+        model::modelByName("GPT-3 6.7B"));
+    auto plans = candidatePlans(graph);
+    const auto once = plans;
+    plans.insert(plans.end(), once.begin(), once.end());
+
+    ThreadPool serial_pool(1);
+    ThreadPool wide_pool(4);
+    TrainingSimulator wide_sim(
+        wafer_, tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
+    eval::StepEvaluator serial(sim_, &serial_pool);
+    eval::StepEvaluator wide(wide_sim, &wide_pool);
+    const auto a = serial.evaluateBatch(graph, plans);
+    const auto b = wide.evaluateBatch(graph, plans);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i)
+        expectSameReport(a[i], b[i]);
+    EXPECT_EQ(serial.stats().sims, wide.stats().sims);
+}
+
+TEST_F(TrainerSimTest, FaultChangeFlushesLayoutsAndCells)
+{
+    // Regression: the simulator's layouts (and cells) outlived a
+    // setFaults() on its wafer, so the next simulation placed work on
+    // a dead die and aborted in ComputeModel::opTime.
+    const auto graph = model::ComputeGraph::transformer(
+        model::modelByName("GPT-3 6.7B"));
+    const ParallelSpec plan = spec(2, 4, 1, 2);
+    ASSERT_TRUE(sim_.simulate(graph, plan).feasible);
+    EXPECT_GT(sim_.cellCacheStats().entries, 0);
+
+    hw::FaultMap faults(wafer_.dieCount(), wafer_.topology().linkCount());
+    faults.setCoreFaultFraction(0, 1.0);
+    faults.setCoreFaultFraction(9, 1.0);
+    for (hw::LinkId link = 0; link < 12; ++link)
+        faults.failLink(link);
+    wafer_.setFaults(faults);
+    EXPECT_EQ(sim_.cellCacheStats().entries, 0);
+    EXPECT_EQ(sim_.layoutCache().cacheStats().entries, 0);
+
+    const PerfReport degraded = sim_.simulate(graph, plan);
+    TrainingSimulator fresh(
+        wafer_, tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
+    const PerfReport expected = fresh.simulate(graph, plan);
+    expectSameReport(degraded, expected);
+    ASSERT_TRUE(degraded.feasible);
+    EXPECT_NEAR(degraded.step_time, 0.7757, 5e-4);
 }
 
 class MultiWaferTest : public ::testing::Test

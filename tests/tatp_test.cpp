@@ -6,7 +6,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <random>
 #include <set>
 
 #include "hw/topology.hpp"
@@ -240,6 +243,91 @@ TEST(ChainMapper, OrderAsChainImprovesScatteredGroups)
     const ChainInfo naive = mapper.analyzeChain(scattered);
     const ChainInfo opt = mapper.analyzeChain(mapper.orderAsChain(scattered));
     EXPECT_LT(opt.total_hops, naive.total_hops);
+}
+
+/// The chain ordering as first written: the same greedy start, but a
+/// 2-opt that copies the chain and rescores it in full for every
+/// candidate reversal. The boundary-delta 2-opt must accept exactly
+/// the same reversals.
+std::vector<DieId>
+fullRescoreOrder(const MeshTopology &mesh, std::vector<DieId> dies)
+{
+    if (dies.size() <= 2)
+        return dies;
+    auto in_set_degree = [&](DieId die) {
+        int deg = 0;
+        for (DieId other : dies)
+            if (other != die && mesh.hopDistance(die, other) == 1)
+                ++deg;
+        return deg;
+    };
+    std::size_t start = 0;
+    for (std::size_t i = 1; i < dies.size(); ++i)
+        if (in_set_degree(dies[i]) < in_set_degree(dies[start]))
+            start = i;
+    std::vector<DieId> chain{dies[start]};
+    std::vector<bool> used(dies.size(), false);
+    used[start] = true;
+    while (chain.size() < dies.size()) {
+        int best = -1;
+        int best_dist = 0;
+        for (std::size_t i = 0; i < dies.size(); ++i) {
+            if (used[i])
+                continue;
+            const int dist = mesh.hopDistance(chain.back(), dies[i]);
+            if (best < 0 || dist < best_dist) {
+                best = static_cast<int>(i);
+                best_dist = dist;
+            }
+        }
+        chain.push_back(dies[best]);
+        used[best] = true;
+    }
+    auto cost = [&](const std::vector<DieId> &c) {
+        int total = 0;
+        for (std::size_t i = 0; i + 1 < c.size(); ++i)
+            total += mesh.hopDistance(c[i], c[i + 1]);
+        return total;
+    };
+    bool improved = true;
+    int guard = 0;
+    while (improved && guard++ < 64) {
+        improved = false;
+        for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
+            for (std::size_t j = i + 1; j < chain.size(); ++j) {
+                std::vector<DieId> candidate = chain;
+                std::reverse(candidate.begin() + i,
+                             candidate.begin() + j + 1);
+                if (cost(candidate) < cost(chain)) {
+                    chain = std::move(candidate);
+                    improved = true;
+                }
+            }
+        }
+    }
+    return chain;
+}
+
+TEST(ChainMapper, BoundaryDeltaTwoOptMatchesFullRescore)
+{
+    std::mt19937_64 rng(0x7e3f);
+    for (const MeshTopology &mesh :
+         {MeshTopology(4, 8), MeshTopology(8, 8),
+          MeshTopology(8, 8, /*torus=*/true)}) {
+        const ChainMapper mapper(mesh);
+        std::vector<DieId> all(static_cast<std::size_t>(mesh.dieCount()));
+        std::iota(all.begin(), all.end(), 0);
+        for (int trial = 0; trial < 200; ++trial) {
+            std::shuffle(all.begin(), all.end(), rng);
+            const std::size_t size = std::min<std::size_t>(
+                all.size(), 3 + rng() % 30);  // 3..32 dies
+            const std::vector<DieId> dies(all.begin(),
+                                          all.begin() + size);
+            EXPECT_EQ(mapper.orderAsChain(dies),
+                      fullRescoreOrder(mesh, dies))
+                << mesh.rows() << "x" << mesh.cols() << " trial " << trial;
+        }
+    }
 }
 
 TEST(ChainMapper, PhysicalRingExistence)
