@@ -1,6 +1,7 @@
 #include "common/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -310,6 +311,10 @@ class Parser
         out->type = JsonValue::Type::Number;
         out->text = input_.substr(start, pos_ - start);
         out->number = std::strtod(out->text.c_str(), nullptr);
+        // JSON has no infinities: a lexeme that overflows a double
+        // (1e999) would reach callers as inf and render back as null.
+        if (!std::isfinite(out->number))
+            return fail("number out of range");
         return true;
     }
 

@@ -65,6 +65,7 @@ TempFramework::cacheStats() const
         {"step_reports", steps_->cacheStats()},
         {"layouts", layouts},
         {"schedules", sim_->costModel().scheduleCacheStats()},
+        {"schedule_phases", sim_->costModel().phaseCacheStats()},
         {"routes", sim_->costModel().routePoolStats()},
         {"sim_cells", sim_->cellCacheStats()},
     };

@@ -226,8 +226,9 @@ class TempFramework
      * as (layer name, counters) pairs: eval_breakdowns (the shared
      * CachingEvaluator memo), step_reports, layouts (simulator +
      * exact-evaluator layout caches combined), schedules (the shared
-     * net::ScheduleCache), routes (the Router pool) and sim_cells (the
-     * simulator's per-op cell memo). The layer names are the
+     * net::ScheduleCache), schedule_phases (its phase-cost store),
+     * routes (the Router pool) and sim_cells (the simulator's per-op
+     * cell memo). The layer names are the
      * CacheStatsRequest JSON vocabulary.
      */
     std::vector<std::pair<std::string, common::CacheStats>> cacheStats()

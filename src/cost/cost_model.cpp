@@ -58,7 +58,7 @@ WaferCostModel::timeCollectiveTasks(
     // Lower every task through the shared schedule cache (content-keyed
     // on the task signature, invalidated by the wafer's fault epoch).
     const std::uint64_t epoch = wafer_.faultEpoch();
-    std::vector<std::shared_ptr<const net::LoweredSchedule>> lowered;
+    std::vector<std::shared_ptr<const net::CommSchedule>> lowered;
     lowered.reserve(tasks.size());
     bool feasible = true;
     for (const net::CollectiveTask &task : tasks) {
@@ -77,44 +77,35 @@ WaferCostModel::timeCollectiveTasks(
         return timing;
     }
 
-    // Single-task fast path: no overlay combination needed, and the
-    // entry's memoized single-task cost (optimize + evaluate, computed
-    // by its first user) is served without copying the schedule.
-    if (tasks.size() == 1) {
-        const net::SingleTaskCost &single = lowered.front()->singleTaskCost(
-            [this](const net::CommSchedule &schedule) {
-                if (!policy_.contentionOptimization())
-                    return net::SingleTaskCost{
-                        contention_.evaluateSequence(schedule),
-                        schedule.linkBytes()};
-                net::CommSchedule optimized = schedule;
-                optimizer_.optimize(optimized);
-                return net::SingleTaskCost{
-                    contention_.evaluateSequence(optimized),
-                    optimized.linkBytes()};
-            });
-        if (link_bytes != nullptr)
-            *link_bytes += single.link_bytes;
-        return single.timing;
-    }
-
-    // Overlay same-kind rounds in one pass: groups of one axis run
-    // concurrently, and different axes' collectives inside one op
-    // contend for the same links (the Fig. 11 scenario).
-    std::vector<const net::CommSchedule *> parts;
-    parts.reserve(lowered.size());
-    for (const auto &schedule : lowered)
-        parts.push_back(schedule.get());
-    net::CommSchedule combined = net::CommSchedule::combine(parts);
-
-    if (policy_.contentionOptimization())
-        optimizer_.optimize(combined);  // finalizes its rebuilt arena
-    else
-        combined.finalize();
-
+    // The phase's cost is a function of its ordered task list and the
+    // fault epoch, so it is computed once per epoch and served after.
+    const net::PhaseCost cost =
+        schedule_cache_.phaseCost(tasks, epoch, [&] {
+            // Overlay same-kind rounds in one pass: groups of one axis
+            // run concurrently, and different axes' collectives inside
+            // one op contend for the same links (the Fig. 11
+            // scenario). A single task is copied, since the optimizer
+            // rewrites routes in place.
+            net::CommSchedule phase;
+            if (lowered.size() == 1) {
+                phase = *lowered.front();
+            } else {
+                std::vector<const net::CommSchedule *> parts;
+                parts.reserve(lowered.size());
+                for (const auto &schedule : lowered)
+                    parts.push_back(schedule.get());
+                phase = net::CommSchedule::combine(parts);
+            }
+            if (policy_.contentionOptimization())
+                optimizer_.optimize(phase);  // finalizes its rebuilt arena
+            else
+                phase.finalize();
+            return net::PhaseCost{contention_.evaluateSequence(phase),
+                                  phase.linkBytes()};
+        });
     if (link_bytes != nullptr)
-        *link_bytes += combined.linkBytes();
-    return contention_.evaluateSequence(combined);
+        *link_bytes += cost.link_bytes;
+    return cost.timing;
 }
 
 void
@@ -159,12 +150,12 @@ WaferCostModel::timeStream(const OpExecution &exec, const GroupLayout &layout,
         round_comp_fwd > 0.0 ? stream.fwd_flops_per_round / round_comp_fwd
                              : wafer_.config().die.peak_flops;
 
-    // Cross-group contention: evaluate the densest stream round under
-    // the contention model and take the worse of that and the
-    // store-and-forward estimate.
+    // Cross-group contention: evaluate the densest stream round (round
+    // 0, the only one lowered) under the contention model and take the
+    // worse of that and the store-and-forward estimate.
     auto contended_round = [&](bool backward) {
-        const net::CommSchedule flows =
-            tatp_executor_.streamFlows(stream, chains, router_, backward);
+        const net::CommSchedule flows = tatp_executor_.firstRoundFlows(
+            stream, chains, router_, backward);
         if (!flows.feasible)
             return std::numeric_limits<double>::infinity();
         if (flows.empty())

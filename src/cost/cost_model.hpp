@@ -102,8 +102,9 @@ class WaferCostModel
     /**
      * Lowers a set of collective tasks (all groups concurrently),
      * applies the policy's traffic optimisation, and times the result
-     * under link-level contention. Lowerings are served from the shared
-     * ScheduleCache (content-keyed, fault-epoch invalidated).
+     * under link-level contention. Lowerings and the phase's cost are
+     * served from the shared ScheduleCache (content-keyed, fault-epoch
+     * invalidated); the task order is part of the phase key.
      *
      * @param link_bytes Optional accumulator of bytes x hops (energy).
      * @param sched_stats Optional accumulator of this call's cache
@@ -201,6 +202,12 @@ class WaferCostModel
     common::CacheStats scheduleCacheStats() const
     {
         return schedule_cache_.cacheStats();
+    }
+
+    /// Governance counters of the schedule cache's phase-cost store.
+    common::CacheStats phaseCacheStats() const
+    {
+        return schedule_cache_.phaseStats();
     }
 
     /// Governance counters of the router's route pool.

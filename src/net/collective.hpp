@@ -204,9 +204,6 @@ class CommSchedule
     const std::vector<Flow> &flows() const { return flows_; }
     std::size_t flowCount() const { return flows_.size(); }
 
-    /// Appends another schedule's rounds after this one's.
-    void append(const CommSchedule &other);
-
     /// Merges another schedule round-by-round (concurrent execution).
     void overlay(const CommSchedule &other);
 
@@ -303,6 +300,12 @@ class CollectiveScheduler
     const Router &router() const { return router_; }
 
   private:
+    /// `passes` back-to-back ring passes of N-1 rounds over the same
+    /// ring hops (an all-gather or reduce-scatter is one pass, an
+    /// all-reduce two), built in one arena with each hop routed once.
+    CommSchedule ringPasses(const std::vector<DieId> &group,
+                            double shard_bytes, int tag, int passes) const;
+
     const Router &router_;
     RoutePolicy policy_;
 };

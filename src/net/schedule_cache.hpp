@@ -27,12 +27,13 @@
  * mutate (the traffic optimizer rewrites routes in place) must copy
  * first. Flow copies are cheap — routes are pooled RouteRefs.
  *
- * Single-task cost: each entry also memoizes what running its schedule
- * alone costs (the single-task path of
- * WaferCostModel::timeCollectiveTasks: optimize a copy, then evaluate
- * it), computed by the first caller and shared after. The value lives
- * inside the entry, so eviction, epoch flushes and byte budgets cover
- * it together with the schedule it was computed from.
+ * Phase cost: the cache also memoizes what running a phase costs — one
+ * task, or several combined and contending (the cost model's
+ * WaferCostModel::timeCollectiveTasks: combine, optimize, evaluate).
+ * The key is the *ordered* list of task signatures, stored in full and
+ * compared exactly; order is part of it because combine() order fixes
+ * flow order and with it the optimizer's tie-breaks. Phase costs share
+ * the schedules' fault epoch, flushes and budgets.
  */
 #pragma once
 
@@ -41,6 +42,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <vector>
 
 #include "common/bounded_cache.hpp"
 #include "net/collective.hpp"
@@ -70,42 +72,15 @@ struct ScheduleCacheStats
     }
 };
 
-/// What running one cached schedule on its own costs.
-struct SingleTaskCost
+/// What running one phase (its tasks combined, contending) costs.
+struct PhaseCost
 {
     PhaseTiming timing;
     double link_bytes = 0.0;  ///< bytes x hops of the timed schedule
 };
 
-/**
- * A cached lowering plus its lazily computed single-task cost. Every
- * caller of one cache must pass the same cost function (the cache
- * belongs to one cost model, whose policy fixes it); the first call
- * computes, concurrent callers wait for it, later ones read it.
- */
-class LoweredSchedule : public CommSchedule
-{
-  public:
-    explicit LoweredSchedule(CommSchedule schedule)
-        : CommSchedule(std::move(schedule))
-    {
-    }
-
-    template <typename Fn>
-    const SingleTaskCost &singleTaskCost(Fn &&compute) const
-    {
-        std::call_once(single_once_, [&] {
-            single_ = compute(static_cast<const CommSchedule &>(*this));
-        });
-        return single_;
-    }
-
-  private:
-    mutable std::once_flag single_once_;
-    mutable SingleTaskCost single_;
-};
-
-/// Thread-safe memo of CollectiveTask -> lowered CommSchedule.
+/// Thread-safe memo of CollectiveTask -> lowered CommSchedule, and of
+/// ordered task list -> PhaseCost.
 class ScheduleCache
 {
   public:
@@ -122,9 +97,27 @@ class ScheduleCache
      *
      * @param hit Optional out-flag: true when served from the cache.
      */
-    std::shared_ptr<const LoweredSchedule> lowered(
+    std::shared_ptr<const CommSchedule> lowered(
         const CollectiveTask &task, std::uint64_t fault_epoch,
         bool *hit = nullptr);
+
+    /**
+     * Returns the cost of running `tasks` together, in this order,
+     * under the given fault epoch. The first request computes it with
+     * `compute()` (outside the cache lock; concurrent requests of the
+     * same phase wait for it), later ones read it. Every caller of one
+     * cache must pass the same function of the phase: the cache
+     * belongs to one cost model, whose policy fixes it.
+     */
+    template <typename Fn>
+    PhaseCost phaseCost(const std::vector<CollectiveTask> &tasks,
+                        std::uint64_t fault_epoch, Fn &&compute)
+    {
+        const std::shared_ptr<PhaseSlot> slot =
+            phaseSlot(tasks, fault_epoch);
+        std::call_once(slot->once, [&] { slot->cost = compute(); });
+        return slot->cost;
+    }
 
     /**
      * Cumulative counters since construction (survive epoch flushes
@@ -143,12 +136,16 @@ class ScheduleCache
     /// totals) for CacheStatsRequest reporting.
     common::CacheStats cacheStats() const;
 
-    /// Entry budget within the live epoch (0 = unbounded).
+    /// The same counters for the phase-cost store.
+    common::CacheStats phaseStats() const;
+
+    /// Entry budget within the live epoch (0 = unbounded), applied to
+    /// the schedule and the phase store each.
     void setMaxEntries(std::size_t max_entries);
 
-    /// Byte budget within the live epoch (0 = unbounded), over the
-    /// honest per-entry estimate (key group + arena + SoA view +
-    /// single-task cost slot).
+    /// Byte budget within the live epoch (0 = unbounded), applied to
+    /// each store over its honest per-entry estimate (schedules: key
+    /// group + arena + SoA view; phases: key words + cost slot).
     void setMaxBytes(long max_bytes);
 
     /**
@@ -168,10 +165,10 @@ class ScheduleCache
      */
     void flushForEpoch(std::uint64_t fault_epoch);
 
-    /// Entries currently cached (current epoch only).
+    /// Schedules currently cached (current epoch only).
     std::size_t size() const;
 
-    /// Drops all entries (counters are kept).
+    /// Drops all schedules and phase costs (counters are kept).
     void clear();
 
     const CollectiveScheduler &scheduler() const { return scheduler_; }
@@ -211,6 +208,61 @@ class ScheduleCache
         bool operator()(const KeyView &a, const Key &b) const;
     };
 
+    /// One phase's cost, filled by its first requester.
+    struct PhaseSlot
+    {
+        std::once_flag once;
+        PhaseCost cost;
+    };
+
+    /// Owning phase key: every task's signature as words (kind|tag,
+    /// bytes bits, group size, then one word per die), in task order.
+    /// The encoding is prefix-free, so equal words mean equal phases.
+    struct PhaseKey
+    {
+        std::vector<std::uint64_t> words;
+    };
+
+    /// Non-owning probe key over the caller's task list.
+    struct PhaseView
+    {
+        const std::vector<CollectiveTask> *tasks;
+    };
+
+    struct PhaseHash
+    {
+        using is_transparent = void;
+        std::size_t operator()(const PhaseKey &key) const;
+        std::size_t operator()(const PhaseView &key) const;
+    };
+
+    struct PhaseEqual
+    {
+        using is_transparent = void;
+        bool operator()(const PhaseKey &a, const PhaseKey &b) const;
+        bool operator()(const PhaseKey &a, const PhaseView &b) const;
+        bool operator()(const PhaseView &a, const PhaseKey &b) const;
+    };
+
+    /// Finds or inserts the slot of a phase (counting a hit or miss).
+    std::shared_ptr<PhaseSlot> phaseSlot(
+        const std::vector<CollectiveTask> &tasks,
+        std::uint64_t fault_epoch);
+
+    /**
+     * The shared hit path of both stores: probes `map` for `view`
+     * under the live epoch (unbounded: shared lock and no recency
+     * update; bounded: exclusive lock and LRU touch) and on a hit
+     * copies the value out and bumps `hits` under the lock.
+     */
+    template <typename Map, typename View, typename Value>
+    bool probe(Map &map, const View &view, std::uint64_t fault_epoch,
+               std::atomic<long> &hits, Value *out);
+
+    /// Under the exclusive lock: flushes both stores when the fault
+    /// epoch moved.
+    void syncEpochLocked(std::uint64_t fault_epoch);
+
     const CollectiveScheduler &scheduler_;
     /// Unbounded hits read-lock; bounded hits, misses, budget changes
     /// and epoch flushes write-lock.
@@ -220,11 +272,16 @@ class ScheduleCache
     /// hit path branches on boundedness before locking).
     std::atomic<std::size_t> max_entries_{0};
     std::atomic<long> max_bytes_{0};
-    common::LruMap<Key, std::shared_ptr<const LoweredSchedule>, KeyHash,
+    common::LruMap<Key, std::shared_ptr<const CommSchedule>, KeyHash,
                    KeyEqual>
         cache_;
+    common::LruMap<PhaseKey, std::shared_ptr<PhaseSlot>, PhaseHash,
+                   PhaseEqual>
+        phases_;
     std::atomic<long> lowerings_{0};
     std::atomic<long> hits_{0};
+    std::atomic<long> phase_misses_{0};
+    std::atomic<long> phase_hits_{0};
 };
 
 }  // namespace temp::net

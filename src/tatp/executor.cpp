@@ -124,21 +124,39 @@ TatpExecutor::streamFlows(const parallel::TatpStream &stream,
                           const std::vector<ChainInfo> &groups,
                           const net::Router &router, bool backward) const
 {
+    return lowerRounds(stream, groups, router, backward, stream.degree);
+}
+
+net::CommSchedule
+TatpExecutor::firstRoundFlows(const parallel::TatpStream &stream,
+                              const std::vector<ChainInfo> &groups,
+                              const net::Router &router,
+                              bool backward) const
+{
+    return lowerRounds(stream, groups, router, backward, 1);
+}
+
+net::CommSchedule
+TatpExecutor::lowerRounds(const parallel::TatpStream &stream,
+                          const std::vector<ChainInfo> &groups,
+                          const net::Router &router, bool backward,
+                          int rounds) const
+{
     net::CommSchedule sched;
     if (!stream.active || stream.degree <= 1)
         return sched;
 
     const double bytes =
         stream.bytes_per_round * (backward ? 2.0 : 1.0);
-    const BidirectionalOrchestrator orch(stream.degree);
 
-    for (std::size_t t = 0; t < orch.rounds().size(); ++t) {
+    for (int t = 0; t < rounds; ++t) {
+        const std::vector<TransferTask> transfers =
+            BidirectionalOrchestrator::roundTransfers(stream.degree, t);
         for (const ChainInfo &group : groups) {
             if (static_cast<int>(group.chain.size()) != stream.degree)
-                panic("TatpExecutor::streamFlows: chain size %zu != degree "
-                      "%d",
+                panic("TatpExecutor: chain size %zu != stream degree %d",
                       group.chain.size(), stream.degree);
-            for (const TransferTask &x : orch.rounds()[t].transfers) {
+            for (const TransferTask &x : transfers) {
                 net::Flow flow;
                 flow.src = group.chain[x.from_slot];
                 flow.dst = group.chain[x.to_slot];

@@ -78,6 +78,17 @@ class TatpExecutor
                                   const net::Router &router,
                                   bool backward) const;
 
+    /**
+     * Lowers only round 0 of the stream: the same flows, in the same
+     * order, as streamFlows(...).round(0), and the same feasibility,
+     * since round 0 relays over every directed chain link a later
+     * round uses. The cost model times this densest round alone.
+     */
+    net::CommSchedule firstRoundFlows(const parallel::TatpStream &stream,
+                                      const std::vector<ChainInfo> &groups,
+                                      const net::Router &router,
+                                      bool backward) const;
+
     /// Store-and-forward time for one sub-tensor over h hops.
     double hopTransferTime(double bytes, int hops) const;
 
@@ -90,6 +101,12 @@ class TatpExecutor
     const hw::D2dConfig &d2d() const { return d2d_; }
 
   private:
+    /// Lowers the stream's first `rounds` rounds.
+    net::CommSchedule lowerRounds(const parallel::TatpStream &stream,
+                                  const std::vector<ChainInfo> &groups,
+                                  const net::Router &router, bool backward,
+                                  int rounds) const;
+
     hw::D2dConfig d2d_;
 };
 

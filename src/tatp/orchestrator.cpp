@@ -15,6 +15,22 @@ BidirectionalOrchestrator::computeSubtensor(int n, int slot, int t)
     return (slot - t + n) % n;
 }
 
+std::vector<TransferTask>
+BidirectionalOrchestrator::roundTransfers(int n, int t)
+{
+    std::vector<TransferTask> transfers;
+    for (int s = 0; s < n; ++s) {
+        // Downward relay wave: subT[k] departs slot k at t=0 and moves
+        // one hop toward slot 0 per round.
+        if (s >= 1 && s + t <= n - 1)
+            transfers.push_back(TransferTask{s, s - 1, s + t});
+        // Upward relay wave, mirror image.
+        if (s <= n - 2 && s - t >= 0)
+            transfers.push_back(TransferTask{s, s + 1, s - t});
+    }
+    return transfers;
+}
+
 BidirectionalOrchestrator::BidirectionalOrchestrator(int n) : n_(n)
 {
     if (n < 1)
@@ -23,17 +39,10 @@ BidirectionalOrchestrator::BidirectionalOrchestrator(int n) : n_(n)
     rounds_.resize(n_);
     for (int t = 0; t < n_; ++t) {
         RoundSchedule &round = rounds_[t];
-        for (int s = 0; s < n_; ++s) {
+        for (int s = 0; s < n_; ++s)
             round.computes.push_back(
                 ComputeTask{s, computeSubtensor(n_, s, t)});
-            // Downward relay wave: subT[k] departs slot k at t=0 and
-            // moves one hop toward slot 0 per round.
-            if (s >= 1 && s + t <= n_ - 1)
-                round.transfers.push_back(TransferTask{s, s - 1, s + t});
-            // Upward relay wave, mirror image.
-            if (s <= n_ - 2 && s - t >= 0)
-                round.transfers.push_back(TransferTask{s, s + 1, s - t});
-        }
+        round.transfers = roundTransfers(n_, t);
     }
 }
 

@@ -80,6 +80,13 @@ class BidirectionalOrchestrator
     static int computeSubtensor(int n, int slot, int t);
 
     /**
+     * The relays of round t alone, as rounds()[t].transfers holds them
+     * (same order), without building the other rounds. Round 0 relays
+     * over every directed chain link; later rounds use a subset.
+     */
+    static std::vector<TransferTask> roundTransfers(int n, int t);
+
+    /**
      * Simulates buffer contents round by round: verifies that every
      * computed/sent sub-tensor is present when needed, that transfers
      * are one hop, and reports peak buffering (drives the comm-buffer

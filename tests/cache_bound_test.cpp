@@ -5,7 +5,8 @@
  * recounting of evicted keys), bounded-vs-unbounded bit-exactness of
  * a real solve, per-layer budget enforcement observed through
  * CacheStatsRequest, the torn-snapshot regression of
- * ScheduleCache::stats() (TSan-exercised), eager epoch flushing, and
+ * ScheduleCache::stats() (TSan-exercised), eager epoch flushing of
+ * schedules, phase costs and routes, and
  * queue-time-aware submit() latency.
  */
 #include <gtest/gtest.h>
@@ -247,7 +248,8 @@ TEST(CacheBound, BudgetTwoSolveIsBitIdenticalToUnbounded)
     // twice the per-cache budget).
     for (const auto &[layer, stats] : bounded.cacheStats()) {
         if (layer == "eval_breakdowns" || layer == "step_reports" ||
-            layer == "schedules" || layer == "sim_cells")
+            layer == "schedules" || layer == "schedule_phases" ||
+            layer == "sim_cells")
             EXPECT_LE(stats.entries, 2) << layer;
         else if (layer == "layouts")
             EXPECT_LE(stats.entries, 4) << layer;
@@ -289,7 +291,7 @@ TEST(CacheBound, ByteBudgetedSolveIsBitIdenticalAndVisible)
             EXPECT_LE(stats.bytes_est, 8 << 10) << layer;
         else if (layer == "layouts")
             EXPECT_LE(stats.bytes_est, 2 * (64 << 10)) << layer;
-        else if (layer == "schedules")
+        else if (layer == "schedules" || layer == "schedule_phases")
             EXPECT_LE(stats.bytes_est, 32 << 10) << layer;
         EXPECT_GE(stats.bytes_est, 0) << layer;
     }
@@ -317,6 +319,7 @@ TEST(CacheBound, ServiceBudgetsHoldAfterEveryRequestAndEvictLru)
             else if (layer.layer == "eval_breakdowns" ||
                      layer.layer == "step_reports" ||
                      layer.layer == "schedules" ||
+                     layer.layer == "schedule_phases" ||
                      layer.layer == "sim_cells")
                 EXPECT_LE(layer.stats.entries, 2) << layer.layer;
             else if (layer.layer == "layouts")
@@ -357,8 +360,8 @@ TEST(CacheBound, ServiceBudgetsHoldAfterEveryRequestAndEvictLru)
         api::toJson(service.run(api::CacheStatsRequest{}));
     for (const char *layer :
          {"service_frameworks", "service_pods", "eval_breakdowns",
-          "step_reports", "layouts", "schedules", "routes",
-          "sim_cells"})
+          "step_reports", "layouts", "schedules", "schedule_phases",
+          "routes", "sim_cells"})
         EXPECT_NE(json.find(layer), std::string::npos) << layer;
     EXPECT_NE(json.find("\"evictions\":"), std::string::npos);
 }
@@ -444,6 +447,7 @@ TEST(CacheBound, SetFaultsFlushesScheduleCacheAndRoutePoolEagerly)
     task.bytes = 64e6;
     (void)model.timeCollectiveTasks({task});
     EXPECT_GT(model.scheduleCacheStats().entries, 0);
+    EXPECT_GT(model.phaseCacheStats().entries, 0);
     EXPECT_GT(model.routePoolStats().entries, 0);
 
     hw::FaultMap faults(wafer.dieCount(), wafer.topology().linkCount());
@@ -453,6 +457,7 @@ TEST(CacheBound, SetFaultsFlushesScheduleCacheAndRoutePoolEagerly)
     // No lookup has run since the injection: the dead epoch's entries
     // are already gone.
     EXPECT_EQ(model.scheduleCacheStats().entries, 0);
+    EXPECT_EQ(model.phaseCacheStats().entries, 0);
     EXPECT_EQ(model.routePoolStats().entries, 0);
 
     // And the next evaluation repopulates against the degraded fabric.

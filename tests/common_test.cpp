@@ -52,6 +52,21 @@ TEST(Json, UnpairedSurrogatesAreRejected)
     EXPECT_FALSE(common::parseJson("\"\\ude00\"", &v, &error));
 }
 
+TEST(Json, NumbersThatOverflowADoubleAreRejected)
+{
+    // JSON has no infinities: 1e999 would reach a request field as inf
+    // and render back as null, so the document could not round-trip.
+    common::JsonValue v;
+    std::string error;
+    EXPECT_FALSE(common::parseJson("1e999", &v, &error));
+    EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+    EXPECT_FALSE(common::parseJson("[-1e999]", &v, &error));
+    ASSERT_TRUE(common::parseJson("1e308", &v, &error)) << error;
+    EXPECT_EQ(v.number, 1e308);
+    ASSERT_TRUE(common::parseJson("1e-999", &v, &error)) << error;
+    EXPECT_EQ(v.number, 0.0);
+}
+
 TEST(Units, BandwidthConversions)
 {
     EXPECT_DOUBLE_EQ(tbPerSec(4.0), 4e12);

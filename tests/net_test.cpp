@@ -243,7 +243,21 @@ TEST(Collective, AllReduceMovesTwiceTheScatterVolume)
     const CommSchedule rs = sched.ringReduceScatter(group, 4e6);
     const CommSchedule ar = sched.ringAllReduce(group, 4e6);
     EXPECT_EQ(ar.roundCount(), 2 * rs.roundCount());
-    EXPECT_NEAR(ar.payload_bytes, 2 * rs.payload_bytes, 1e-6);
+    // Exactly the reduce-scatter followed by the same-sized all-gather:
+    // flow for flow, and the payload rounds like their sum.
+    EXPECT_EQ(ar.payload_bytes, rs.payload_bytes + rs.payload_bytes);
+    ASSERT_EQ(ar.flowCount(), 2 * rs.flowCount());
+    for (std::size_t f = 0; f < ar.flowCount(); ++f) {
+        const Flow &a = ar.flows()[f];
+        const Flow &b = rs.flows()[f % rs.flowCount()];
+        EXPECT_EQ(a.src, b.src);
+        EXPECT_EQ(a.dst, b.dst);
+        EXPECT_EQ(a.bytes, b.bytes);
+        EXPECT_TRUE(a.route.sameLinks(b.route));
+    }
+    for (int r = 0; r < rs.roundCount(); ++r)
+        EXPECT_EQ(ar.roundEnd(r + rs.roundCount()),
+                  ar.roundEnd(r) + rs.flowCount());
 }
 
 TEST(Collective, ContiguousRingAllGatherMatchesLowerBound)

@@ -3,9 +3,9 @@
  * Tests for the network hot path's schedule layer: ScheduleCache
  * hit/miss accounting, bit-exact cached vs. uncached timings,
  * fault-epoch invalidation (injected faults must not reuse stale
- * routes), the entries' memoized single-task cost, flat-arena
- * CommSchedule invariants, and determinism of the whole stack across
- * eval_threads.
+ * routes), the phase-cost memo (one task or several, order-sensitive,
+ * budget- and epoch-governed), flat-arena CommSchedule invariants, and
+ * determinism of the whole stack across eval_threads.
  */
 #include <gtest/gtest.h>
 
@@ -31,6 +31,71 @@ allReduceTask(std::vector<DieId> group, double bytes, int tag = 0)
     task.bytes = bytes;
     task.tag = tag;
     return task;
+}
+
+/**
+ * A phase costed by hand, outside any cache: lower every task, combine
+ * them in order, optimize, evaluate (what the cost model's memo must
+ * reproduce bit for bit).
+ */
+struct FreshPhase
+{
+    PhaseTiming timing;
+    double link_bytes = 0.0;
+    int optimizer_moves = 0;  ///< reroutes + merges
+};
+
+FreshPhase
+freshPhase(const hw::Wafer &wafer, const std::vector<CollectiveTask> &tasks)
+{
+    Router router(wafer.topology(), &wafer.faults());
+    CollectiveScheduler scheduler(router);
+    tcme::TrafficOptimizer optimizer(router);
+    ContentionModel contention(wafer, wafer.config().d2d.latency_s);
+
+    std::vector<CommSchedule> lowered;
+    for (const CollectiveTask &task : tasks) {
+        lowered.push_back(scheduler.schedule(task));
+        lowered.back().finalize();
+    }
+    std::vector<const CommSchedule *> parts;
+    for (const CommSchedule &schedule : lowered)
+        parts.push_back(&schedule);
+    CommSchedule phase = CommSchedule::combine(parts);
+    const tcme::OptimizationStats moved = optimizer.optimize(phase);
+    return {contention.evaluateSequence(phase), phase.linkBytes(),
+            moved.reroutes + moved.merges};
+}
+
+void
+expectSameTiming(const PhaseTiming &a, const PhaseTiming &b)
+{
+    EXPECT_EQ(a.time_s, b.time_s);
+    EXPECT_EQ(a.serial_time_s, b.serial_time_s);
+    EXPECT_EQ(a.bottleneck_link, b.bottleneck_link);
+    EXPECT_EQ(a.bottleneck_bytes, b.bottleneck_bytes);
+    EXPECT_EQ(a.total_bytes, b.total_bytes);
+    EXPECT_EQ(a.link_bytes, b.link_bytes);
+    EXPECT_EQ(a.max_hops, b.max_hops);
+    EXPECT_EQ(a.bandwidth_utilization, b.bandwidth_utilization);
+}
+
+/// Multi-task phases whose groups share links on the 4x8 paper wafer
+/// (rows, a column, a block), so combining them makes them contend.
+std::vector<std::vector<CollectiveTask>>
+contendingPhases()
+{
+    CollectiveTask gather = allReduceTask({0, 8, 16, 24}, 24e6, 1001);
+    gather.kind = CollectiveKind::AllGather;
+    return {
+        {allReduceTask({0, 1, 2, 3}, 16e6, 1000), gather},
+        {allReduceTask({0, 1, 2, 3}, 16e6, 1000), gather,
+         allReduceTask({1, 2, 9, 10}, 8e6, 1002)},
+        {allReduceTask({0, 1, 2, 3, 4, 5, 6, 7}, 64e6, 1000),
+         allReduceTask({8, 9, 10, 11, 12, 13, 14, 15}, 64e6, 1000),
+         allReduceTask({0, 8, 16, 24}, 32e6, 1001),
+         allReduceTask({3, 11, 19, 27}, 32e6, 1001)},
+    };
 }
 
 TEST(ScheduleCache, CountsLoweringsAndHitsHonestly)
@@ -161,7 +226,8 @@ TEST(ScheduleCache, StoredSingleTaskCostEqualsFreshOptimizeAndEvaluate)
     hw::Wafer wafer(hw::WaferConfig::paperDefault());
     cost::WaferCostModel model(
         wafer, tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
-    // The single-task path by hand: lower, optimize a copy, evaluate.
+    // A one-task phase by hand: lower, optimize a copy, evaluate. The
+    // phase memo stores it like any other phase.
     Router router(wafer.topology(), &wafer.faults());
     CollectiveScheduler scheduler(router);
     tcme::TrafficOptimizer optimizer(router);
@@ -187,8 +253,8 @@ TEST(ScheduleCache, StoredSingleTaskCostEqualsFreshOptimizeAndEvaluate)
             if (moved.reroutes + moved.merges > 0)
                 ++optimized_away;
 
-            // The first call computes the entry's cost, the second
-            // reads it.
+            // The first call computes the phase's cost, the second
+            // reads it from the phase memo.
             for (int call = 0; call < 2; ++call) {
                 double link_bytes = 0.0;
                 const PhaseTiming timing =
@@ -209,6 +275,10 @@ TEST(ScheduleCache, StoredSingleTaskCostEqualsFreshOptimizeAndEvaluate)
     EXPECT_GT(optimized_away, 0);
     EXPECT_EQ(model.scheduleStats().lowerings, tasks);
     EXPECT_EQ(model.scheduleStats().hits, tasks);
+    const common::CacheStats phases = model.phaseCacheStats();
+    EXPECT_EQ(phases.misses, tasks);
+    EXPECT_EQ(phases.hits, tasks);
+    EXPECT_EQ(phases.entries, tasks);
 }
 
 TEST(ScheduleCache, EvictedOrFlushedSingleTaskCostRecomputes)
@@ -226,12 +296,15 @@ TEST(ScheduleCache, EvictedOrFlushedSingleTaskCostRecomputes)
     const PhaseTiming first = model.timeCollectiveTasks(a);
     EXPECT_EQ(model.scheduleStats().lowerings, 1);
 
-    // Evicted by b under the 1-entry budget: a re-lowers, recounts as
-    // a lowering, and recomputes the same cost.
+    // Evicted by b under the 1-entry budget (which bounds the schedule
+    // and the phase store each): a re-lowers, recounts as a lowering,
+    // and its phase recomputes the same cost.
     (void)model.timeCollectiveTasks(b);
     const PhaseTiming evicted = model.timeCollectiveTasks(a);
     EXPECT_EQ(model.scheduleStats().lowerings, 3);
     EXPECT_EQ(model.scheduleStats().hits, 0);
+    EXPECT_EQ(model.phaseCacheStats().misses, 3);
+    EXPECT_EQ(model.phaseCacheStats().entries, 1);
     EXPECT_EQ(evicted.time_s, first.time_s);
     EXPECT_EQ(evicted.link_bytes, first.link_bytes);
 
@@ -240,6 +313,7 @@ TEST(ScheduleCache, EvictedOrFlushedSingleTaskCostRecomputes)
     wafer.setFaults(
         hw::FaultMap(wafer.dieCount(), wafer.topology().linkCount()));
     EXPECT_EQ(model.scheduleCacheStats().entries, 0);
+    EXPECT_EQ(model.phaseCacheStats().entries, 0);
     const PhaseTiming flushed = model.timeCollectiveTasks(a);
     EXPECT_EQ(model.scheduleStats().lowerings, 4);
     EXPECT_EQ(flushed.time_s, first.time_s);
@@ -249,7 +323,121 @@ TEST(ScheduleCache, EvictedOrFlushedSingleTaskCostRecomputes)
     EXPECT_EQ(model.timeCollectiveTasks(a).time_s, first.time_s);
     EXPECT_EQ(model.scheduleStats().lowerings, 4);
     EXPECT_EQ(model.scheduleStats().hits, 1);
+    EXPECT_EQ(model.phaseCacheStats().misses, 4);
+    EXPECT_EQ(model.phaseCacheStats().hits, 1);
 }
+
+TEST(ScheduleCache, MultiTaskPhaseFromMemoEqualsFreshCombineOptimizeEvaluate)
+{
+    hw::Wafer wafer(hw::WaferConfig::paperDefault());
+    cost::WaferCostModel model(
+        wafer, tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
+
+    int optimizer_moves = 0;
+    int phases = 0;
+    for (const std::vector<CollectiveTask> &tasks : contendingPhases()) {
+        const FreshPhase fresh = freshPhase(wafer, tasks);
+        optimizer_moves += fresh.optimizer_moves;
+        ++phases;
+        // First call computes, second is served from the memo; both
+        // equal the hand-made phase bit for bit.
+        for (int call = 0; call < 2; ++call) {
+            double link_bytes = 0.0;
+            expectSameTiming(model.timeCollectiveTasks(tasks, &link_bytes),
+                             fresh.timing);
+            EXPECT_EQ(link_bytes, fresh.link_bytes);
+        }
+    }
+    // The optimizer changed some phase, so an unoptimized memo value
+    // would have been caught.
+    EXPECT_GT(optimizer_moves, 0);
+    EXPECT_EQ(model.phaseCacheStats().misses, phases);
+    EXPECT_EQ(model.phaseCacheStats().hits, phases);
+}
+
+TEST(ScheduleCache, TaskOrderIsPartOfThePhaseKey)
+{
+    hw::Wafer wafer(hw::WaferConfig::paperDefault());
+    cost::WaferCostModel model(
+        wafer, tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
+
+    for (const std::vector<CollectiveTask> &tasks : contendingPhases()) {
+        const std::vector<CollectiveTask> reversed(tasks.rbegin(),
+                                                   tasks.rend());
+        const common::CacheStats before = model.phaseCacheStats();
+        expectSameTiming(model.timeCollectiveTasks(tasks),
+                         freshPhase(wafer, tasks).timing);
+        expectSameTiming(model.timeCollectiveTasks(reversed),
+                         freshPhase(wafer, reversed).timing);
+        // Two entries, neither served from the other.
+        const common::CacheStats after = model.phaseCacheStats();
+        EXPECT_EQ(after.misses - before.misses, 2);
+        EXPECT_EQ(after.hits, before.hits);
+        EXPECT_EQ(after.entries - before.entries, 2);
+    }
+    // The reversed lookups lowered nothing new: order changes only the
+    // phase key, not the per-task schedule lookups.
+    const ScheduleCacheStats stats = model.scheduleStats();
+    EXPECT_EQ(stats.lowerings, 7);  // distinct tasks over all phases
+}
+
+TEST(ScheduleCache, PhaseCostsAreBitIdenticalUnderAOneEntryBudget)
+{
+    hw::Wafer wafer(hw::WaferConfig::paperDefault());
+    cost::WaferCostModel unbounded(
+        wafer, tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
+    cost::WaferCostModel bounded(
+        wafer, tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
+    common::CacheBudget budget;
+    budget.max_schedule_entries = 1;
+    bounded.setCacheBudgets(budget);
+
+    // Cycle through the phases three times, so the bounded model
+    // evicts and recomputes every phase on every pass.
+    const std::vector<std::vector<CollectiveTask>> phases =
+        contendingPhases();
+    for (int pass = 0; pass < 3; ++pass) {
+        for (const std::vector<CollectiveTask> &tasks : phases) {
+            double bytes_unbounded = 0.0;
+            double bytes_bounded = 0.0;
+            expectSameTiming(
+                bounded.timeCollectiveTasks(tasks, &bytes_bounded),
+                unbounded.timeCollectiveTasks(tasks, &bytes_unbounded));
+            EXPECT_EQ(bytes_bounded, bytes_unbounded);
+            EXPECT_LE(bounded.phaseCacheStats().entries, 1);
+        }
+    }
+    EXPECT_EQ(bounded.phaseCacheStats().misses, 3 * 3);
+    EXPECT_GT(bounded.phaseCacheStats().evictions, 0);
+    EXPECT_EQ(unbounded.phaseCacheStats().misses, 3);
+}
+
+TEST(ScheduleCache, PhaseRecomputesUnderANewFaultEpoch)
+{
+    hw::Wafer wafer(hw::WaferConfig::paperDefault());
+    cost::WaferCostModel model(
+        wafer, tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
+    const std::vector<CollectiveTask> tasks = contendingPhases()[1];
+
+    const PhaseTiming healthy = model.timeCollectiveTasks(tasks);
+    EXPECT_EQ(model.phaseCacheStats().entries, 1);
+
+    // Fail the 1->2 channel, which the first ring crosses: the eager
+    // flush drops the phase, and the next query recomputes it over the
+    // re-lowered detour instead of serving the healthy cost.
+    hw::FaultMap faults(wafer.dieCount(), wafer.topology().linkCount());
+    faults.failLink(wafer.topology().linkId(1, 2));
+    faults.failLink(wafer.topology().linkId(2, 1));
+    wafer.setFaults(faults);
+    EXPECT_EQ(model.phaseCacheStats().entries, 0);
+
+    const PhaseTiming degraded = model.timeCollectiveTasks(tasks);
+    expectSameTiming(degraded, freshPhase(wafer, tasks).timing);
+    EXPECT_NE(degraded.link_bytes, healthy.link_bytes);
+    EXPECT_EQ(model.phaseCacheStats().misses, 2);
+    EXPECT_EQ(model.phaseCacheStats().hits, 0);
+}
+
 
 TEST(CommSchedule, FlatArenaRoundsPartitionTheFlowArena)
 {
@@ -314,6 +502,34 @@ TEST(ScheduleCache, SolveIsDeterministicAcrossEvalThreads)
         static_cast<double>(r1.schedule_lowerings +
                             r1.schedule_cache_hits);
     EXPECT_GT(hit_rate, 0.5);
+}
+
+TEST(ScheduleCache, SolveIsBitIdenticalAcrossThreadsAndAOneEntryBudget)
+{
+    // The phase memo is filled by whichever worker asks first and, at
+    // a 1-entry budget, evicted and recomputed constantly: neither may
+    // move the answer.
+    const model::ModelConfig model = model::modelByName("GPT-3 6.7B");
+    core::FrameworkOptions base;
+    base.solver.ga_population = 8;
+    base.solver.ga_generations = 4;
+
+    std::vector<solver::SolverResult> results;
+    for (int threads : {1, 4}) {
+        for (long entries : {0L, 1L}) {
+            core::FrameworkOptions options = base;
+            options.eval_threads = threads;
+            options.cache.max_schedule_entries = entries;
+            const core::TempFramework framework(
+                hw::WaferConfig::paperDefault(), options);
+            results.push_back(framework.optimize(model));
+            ASSERT_TRUE(results.back().feasible);
+        }
+    }
+    for (const solver::SolverResult &result : results) {
+        EXPECT_EQ(result.per_op_specs, results.front().per_op_specs);
+        EXPECT_EQ(result.step_time_s, results.front().step_time_s);
+    }
 }
 
 }  // namespace

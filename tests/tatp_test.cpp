@@ -12,6 +12,7 @@
 #include <random>
 #include <set>
 
+#include "hw/fault.hpp"
 #include "hw/topology.hpp"
 #include "net/route.hpp"
 #include "tatp/chain_mapper.hpp"
@@ -469,6 +470,79 @@ TEST_F(ExecutorTest, StreamFlowsMatchOrchestratorSchedule)
         exec_.streamFlows(stream, chains, router, true);
     EXPECT_DOUBLE_EQ(bwd.round(0)[0].bytes,
                      2.0 * sched.round(0)[0].bytes);
+}
+
+TEST(StreamRounds, FirstRoundFlowsEqualRoundZeroOfTheFullLowering)
+{
+    // The cost model times round 0 alone and lowers nothing else, so
+    // the one-round build must be that round, flow for flow, with the
+    // same feasibility (round 0 relays over every directed chain link
+    // a later round uses). Scattered random groups on healthy and
+    // faulted meshes; die 5 is cut off in the faulted ones, so chains
+    // through it are infeasible.
+    const TatpExecutor exec(hw::D2dConfig{});
+    std::mt19937_64 rng(14);
+    int infeasible = 0;
+    int compared = 0;
+    for (const auto &[rows, cols] : {std::pair{4, 8}, std::pair{8, 8}}) {
+        const MeshTopology mesh(rows, cols);
+        const ChainMapper mapper(mesh);
+        for (bool faulted : {false, true}) {
+            hw::FaultMap faults(mesh.dieCount(), mesh.linkCount());
+            if (faulted) {
+                for (DieId n : mesh.neighbors(5)) {
+                    faults.failLink(mesh.linkId(5, n));
+                    faults.failLink(mesh.linkId(n, 5));
+                }
+                for (int i = 0; i < 4; ++i)
+                    faults.failLink(static_cast<hw::LinkId>(
+                        rng() % mesh.linkCount()));
+            }
+            const net::Router router(mesh, &faults);
+            for (int n = 2; n <= 32; ++n) {
+                std::vector<DieId> dies(mesh.dieCount());
+                std::iota(dies.begin(), dies.end(), 0);
+                std::shuffle(dies.begin(), dies.end(), rng);
+                std::vector<ChainInfo> chains;
+                for (int g = 0; (g + 1) * n <= mesh.dieCount(); ++g)
+                    chains.push_back(mapper.analyzeChain(std::vector<DieId>(
+                        dies.begin() + g * n, dies.begin() + (g + 1) * n)));
+
+                parallel::TatpStream stream;
+                stream.active = true;
+                stream.degree = n;
+                stream.bytes_per_round = 1e6 * n;
+                for (bool backward : {false, true}) {
+                    const net::CommSchedule full =
+                        exec.streamFlows(stream, chains, router, backward);
+                    const net::CommSchedule first = exec.firstRoundFlows(
+                        stream, chains, router, backward);
+                    ASSERT_EQ(full.roundCount(), n);
+                    ASSERT_EQ(first.roundCount(), 1);
+                    EXPECT_EQ(first.feasible, full.feasible) << n;
+                    infeasible += full.feasible ? 0 : 1;
+                    const auto round0 = full.round(0);
+                    ASSERT_EQ(first.flowCount(), round0.size()) << n;
+                    for (std::size_t f = 0; f < round0.size(); ++f) {
+                        const net::Flow &a = first.flows()[f];
+                        const net::Flow &b = round0[f];
+                        EXPECT_EQ(a.src, b.src);
+                        EXPECT_EQ(a.dst, b.dst);
+                        EXPECT_EQ(a.bytes, b.bytes);
+                        EXPECT_EQ(a.tag, b.tag);
+                        ASSERT_EQ(a.route.valid(), b.route.valid());
+                        if (a.route.valid())
+                            EXPECT_TRUE(a.route.sameLinks(b.route));
+                    }
+                    ++compared;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(compared, 2 * 2 * 31 * 2);
+    // Both feasibility outcomes were exercised.
+    EXPECT_GT(infeasible, 0);
+    EXPECT_LT(infeasible, compared);
 }
 
 TEST_F(ExecutorTest, LinkBytesScaleQuadratically)
