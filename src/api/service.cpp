@@ -131,7 +131,7 @@ TempService::consumePendingBlock(const std::string &key,
         importing_.insert(key);
         ++persist_stats_.frameworks_warmed;
     }
-    // Import outside the lock: schedule replay lowers real schedules.
+    // Import outside the lock: a large block takes a while to insert.
     fw.importMemos(block);
     {
         std::lock_guard<std::mutex> lock(persist_mutex_);

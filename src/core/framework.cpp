@@ -41,7 +41,6 @@ TempFramework::exportMemos() const
         [&](const std::string &key, const sim::PerfReport &report) {
             block.step_reports.emplace_back(key, report);
         });
-    block.schedule_tasks = sim_->costModel().exportScheduleTasks();
     return block;
 }
 
@@ -52,7 +51,6 @@ TempFramework::importMemos(const persist::MemoBlock &block) const
         evaluator_->importCached(key, breakdown);
     for (const auto &[key, report] : block.step_reports)
         steps_->importCached(key, report);
-    sim_->costModel().prewarmSchedules(block.schedule_tasks);
 }
 
 std::vector<std::pair<std::string, common::CacheStats>>
@@ -66,6 +64,7 @@ TempFramework::cacheStats() const
         {"layouts", layouts},
         {"schedules", sim_->costModel().scheduleCacheStats()},
         {"schedule_phases", sim_->costModel().phaseCacheStats()},
+        {"tatp_streams", sim_->costModel().streamCacheStats()},
         {"routes", sim_->costModel().routePoolStats()},
         {"sim_cells", sim_->cellCacheStats()},
     };

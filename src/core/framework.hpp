@@ -227,8 +227,9 @@ class TempFramework
      * CachingEvaluator memo), step_reports, layouts (simulator +
      * exact-evaluator layout caches combined), schedules (the shared
      * net::ScheduleCache), schedule_phases (its phase-cost store),
-     * routes (the Router pool) and sim_cells (the simulator's per-op
-     * cell memo). The layer names are the
+     * tatp_streams (the cost model's TATP stream memo), routes (the
+     * Router pool) and sim_cells (the simulator's per-op cell memo).
+     * The layer names are the
      * CacheStatsRequest JSON vocabulary.
      */
     std::vector<std::pair<std::string, common::CacheStats>> cacheStats()
@@ -236,21 +237,19 @@ class TempFramework
 
     /**
      * Exports this framework's persistable memo layers — breakdown
-     * memo, step-report memo and schedule-cache task signatures — as
-     * one snapshot block (framework_key left empty; the service stamps
-     * its canonical key). Layout caches are deliberately not exported:
-     * layouts are only consulted on breakdown misses, so a warm
-     * breakdown/step tier never needs them, and they re-build
-     * bit-identically when it does miss.
+     * memo and step-report memo — as one snapshot block (framework_key
+     * left empty; the service stamps its canonical key). Layout and
+     * network caches are deliberately not exported: they are only
+     * consulted on breakdown or report misses, so a warm tier never
+     * needs them, and they re-build bit-identically when it does miss.
      */
     persist::MemoBlock exportMemos() const;
 
     /**
      * Seeds the memo layers from a snapshot block (warm start).
      * Breakdowns and step reports import by value under their content
-     * keys; schedule tasks re-lower under the live fault epoch.
-     * Resident entries always win, so importing into a warm framework
-     * never changes what it serves.
+     * keys. Resident entries always win, so importing into a warm
+     * framework never changes what it serves.
      */
     void importMemos(const persist::MemoBlock &block) const;
 

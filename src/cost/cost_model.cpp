@@ -1,9 +1,11 @@
 #include "cost/cost_model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
+#include "common/hash.hpp"
 #include "common/logging.hpp"
 
 namespace temp::cost {
@@ -29,16 +31,36 @@ WaferCostModel::WaferCostModel(const hw::Wafer &wafer,
       tatp_executor_(wafer.config().d2d),
       optimizer_(router_)
 {
+    // An entry's key words and its shape (the LRU node is not
+    // counted, as in the other memo layers).
+    streams_.setByteEstimate(
+        [](const std::vector<std::uint64_t> &key, const StreamShape &) {
+            return static_cast<long>(sizeof(key) +
+                                     key.capacity() * sizeof(std::uint64_t) +
+                                     sizeof(StreamShape));
+        });
     // Eager invalidation: a setFaults() on the live wafer flushes the
-    // dead epoch's schedules and pooled routes immediately, instead of
-    // retaining them until (unless) a next lookup notices the epoch
-    // moved. The listener only touches this model's own thread-safe
-    // caches, so it is safe from whichever thread injects the faults.
+    // dead epoch's schedules, stream shapes and pooled routes
+    // immediately, instead of retaining them until (unless) a next
+    // lookup notices the epoch moved. The listener only touches this
+    // model's own thread-safe caches, so it is safe from whichever
+    // thread injects the faults.
     epoch_listener_id_ =
         wafer_.addEpochListener([this](std::uint64_t epoch) {
             schedule_cache_.flushForEpoch(epoch);
+            streams_.clear();
             router_.dropStaleRoutes();
         });
+}
+
+std::size_t
+WaferCostModel::WordsHash::operator()(
+    const std::vector<std::uint64_t> &words) const
+{
+    std::uint64_t hash = common::kFnvOffset;
+    for (std::uint64_t word : words)
+        hash = common::fnv1aStep(hash, word);
+    return static_cast<std::size_t>(hash);
 }
 
 WaferCostModel::~WaferCostModel()
@@ -84,28 +106,83 @@ WaferCostModel::timeCollectiveTasks(
             // Overlay same-kind rounds in one pass: groups of one axis
             // run concurrently, and different axes' collectives inside
             // one op contend for the same links (the Fig. 11
-            // scenario). A single task is copied, since the optimizer
-            // rewrites routes in place.
-            net::CommSchedule phase;
-            if (lowered.size() == 1) {
-                phase = *lowered.front();
-            } else {
-                std::vector<const net::CommSchedule *> parts;
-                parts.reserve(lowered.size());
-                for (const auto &schedule : lowered)
-                    parts.push_back(schedule.get());
-                phase = net::CommSchedule::combine(parts);
+            // scenario). The optimizer assembles each round from the
+            // cached parts itself, leaving them untouched.
+            std::vector<const net::CommSchedule *> parts;
+            parts.reserve(lowered.size());
+            for (const auto &schedule : lowered)
+                parts.push_back(schedule.get());
+            if (policy_.contentionOptimization()) {
+                const net::CommSchedule phase = optimizer_.optimize(parts);
+                return net::PhaseCost{contention_.evaluateSequence(phase),
+                                      phase.linkBytes()};
             }
-            if (policy_.contentionOptimization())
-                optimizer_.optimize(phase);  // finalizes its rebuilt arena
-            else
-                phase.finalize();
+            // Unoptimized, a single cached schedule (finalized when it
+            // was lowered) is timed as it is.
+            if (parts.size() == 1)
+                return net::PhaseCost{
+                    contention_.evaluateSequence(*parts.front()),
+                    parts.front()->linkBytes()};
+            net::CommSchedule phase = net::CommSchedule::combine(parts);
+            phase.finalize();
             return net::PhaseCost{contention_.evaluateSequence(phase),
                                   phase.linkBytes()};
         });
     if (link_bytes != nullptr)
         *link_bytes += cost.link_bytes;
     return cost.timing;
+}
+
+WaferCostModel::StreamShape
+WaferCostModel::streamShape(
+    const parallel::TatpStream &stream,
+    const std::vector<std::vector<hw::DieId>> &groups) const
+{
+    std::vector<std::uint64_t> key{
+        wafer_.faultEpoch(),
+        std::bit_cast<std::uint64_t>(stream.bytes_per_round),
+        static_cast<std::uint64_t>(stream.degree), groups.size()};
+    for (const std::vector<hw::DieId> &group : groups) {
+        key.push_back(group.size());
+        for (hw::DieId die : group)
+            key.push_back(static_cast<std::uint32_t>(die));
+    }
+    if (const std::optional<StreamShape> cached = streams_.get(key))
+        return *cached;
+
+    // Build the physical chains this layout gives the stream. Engines
+    // other than SMap re-order scattered groups into the best chain
+    // (GMap is hop-aware; TCME is topology-aware by construction).
+    std::vector<tatp::ChainInfo> chains;
+    chains.reserve(groups.size());
+    for (const std::vector<hw::DieId> &group : groups)
+        chains.push_back(chain_mapper_.analyzeChain(
+            policy_.kind != tcme::MappingEngineKind::SMap
+                ? chain_mapper_.orderAsChain(group)
+                : group));
+
+    // Worst chain gates the bulk-synchronous stream.
+    const tatp::ChainInfo *worst = &chains[0];
+    for (const tatp::ChainInfo &c : chains)
+        if (c.max_hop > worst->max_hop)
+            worst = &c;
+
+    // Cross-group contention: evaluate the densest stream round (round
+    // 0, the only one lowered) under the contention model.
+    auto contended_round = [&](bool backward) {
+        const net::CommSchedule flows = tatp_executor_.firstRoundFlows(
+            stream, chains, router_, backward);
+        if (!flows.feasible)
+            return std::numeric_limits<double>::infinity();
+        if (flows.empty())
+            return 0.0;
+        return contention_.evaluate(flows.round(0)).time_s;
+    };
+
+    const StreamShape shape{tatp::ChainHops::of(*worst), chains.size(),
+                            contended_round(false), contended_round(true)};
+    streams_.insert(key, shape);
+    return shape;
 }
 
 void
@@ -115,24 +192,11 @@ WaferCostModel::timeStream(const OpExecution &exec, const GroupLayout &layout,
     const parallel::TatpStream &stream = exec.tatp;
     const int g = stream.degree;
 
-    // Build the physical chains this layout gives the stream. Engines
-    // other than SMap re-order scattered groups into the best chain
-    // (GMap is hop-aware; TCME is topology-aware by construction).
-    std::vector<tatp::ChainInfo> chains;
-    for (const auto &group : layout.groups(Axis::TATP)) {
-        std::vector<hw::DieId> ordered = group;
-        if (policy_.kind != tcme::MappingEngineKind::SMap)
-            ordered = chain_mapper_.orderAsChain(ordered);
-        chains.push_back(chain_mapper_.analyzeChain(ordered));
-    }
-    if (chains.empty())
+    const std::vector<std::vector<hw::DieId>> &groups =
+        layout.groups(Axis::TATP);
+    if (groups.empty())
         return;
-
-    // Worst chain gates the bulk-synchronous stream.
-    const tatp::ChainInfo *worst = &chains[0];
-    for (const tatp::ChainInfo &c : chains)
-        if (c.max_hop > worst->max_hop)
-            worst = &c;
+    const StreamShape shape = streamShape(stream, groups);
 
     double min_derate = 1.0;
     for (hw::DieId die : layout.activeDies())
@@ -150,30 +214,19 @@ WaferCostModel::timeStream(const OpExecution &exec, const GroupLayout &layout,
         round_comp_fwd > 0.0 ? stream.fwd_flops_per_round / round_comp_fwd
                              : wafer_.config().die.peak_flops;
 
-    // Cross-group contention: evaluate the densest stream round (round
-    // 0, the only one lowered) under the contention model and take the
-    // worse of that and the store-and-forward estimate.
-    auto contended_round = [&](bool backward) {
-        const net::CommSchedule flows = tatp_executor_.firstRoundFlows(
-            stream, chains, router_, backward);
-        if (!flows.feasible)
-            return std::numeric_limits<double>::infinity();
-        if (flows.empty())
-            return 0.0;
-        return contention_.evaluate(flows.round(0)).time_s;
-    };
-
     const tatp::TatpTiming fwd = tatp_executor_.timePass(
-        stream.fwd_flops_per_round, stream.bytes_per_round, g, *worst,
+        stream.fwd_flops_per_round, stream.bytes_per_round, g, shape.worst,
         flops_rate);
     const tatp::TatpTiming bwd = tatp_executor_.timePass(
-        stream.bwd_flops_per_round, 2.0 * stream.bytes_per_round, g, *worst,
-        flops_rate);
+        stream.bwd_flops_per_round, 2.0 * stream.bytes_per_round, g,
+        shape.worst, flops_rate);
 
+    // Take the worse of the contended round and the store-and-forward
+    // estimate.
     const double fwd_comm_round =
-        std::max(fwd.comm_time_s / g, contended_round(false));
+        std::max(fwd.comm_time_s / g, shape.fwd_round_s);
     const double bwd_comm_round =
-        std::max(bwd.comm_time_s / g, contended_round(true));
+        std::max(bwd.comm_time_s / g, shape.bwd_round_s);
     if (std::isinf(fwd_comm_round) || std::isinf(bwd_comm_round)) {
         out.feasible = false;
         return;
@@ -201,7 +254,7 @@ WaferCostModel::timeStream(const OpExecution &exec, const GroupLayout &layout,
              std::max(0.0, bwd_round - std::max(bwd.comp_time_s / g,
                                                 ideal_hop_bwd)));
     out.d2d_link_bytes +=
-        (fwd.link_bytes + bwd.link_bytes) * chains.size();
+        (fwd.link_bytes + bwd.link_bytes) * shape.chains;
 }
 
 OpCostBreakdown

@@ -15,8 +15,11 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
+#include "common/bounded_cache.hpp"
 #include "cost/compute_model.hpp"
 #include "cost/power_model.hpp"
 #include "hw/wafer.hpp"
@@ -158,10 +161,10 @@ class WaferCostModel
     }
 
     /**
-     * Applies the network-layer entry budgets (schedule cache and
-     * route pool; 0 = unbounded). Const for the same reason the
-     * caches are mutable: governance does not change what a cost
-     * query computes, only what stays resident.
+     * Applies the network-layer entry budgets (schedule cache, TATP
+     * stream memo and route pool; 0 = unbounded). Const for the same
+     * reason the caches are mutable: governance does not change what
+     * a cost query computes, only what stays resident.
      */
     void setCacheBudgets(const common::CacheBudget &budget) const
     {
@@ -172,27 +175,15 @@ class WaferCostModel
             std::max(0L, budget.max_schedule_entries)));
         schedule_cache_.setMaxBytes(
             std::max(0L, budget.max_schedule_bytes));
+        streams_.setCapacity(budget.max_schedule_entries);
+        streams_.setMaxBytes(budget.max_schedule_bytes);
         router_.setPoolBudget(static_cast<std::size_t>(
             std::max(0L, budget.max_route_entries)));
         router_.setPoolMaxBytes(std::max(0L, budget.max_route_bytes));
     }
 
-    /**
-     * Re-lowers persisted task signatures into the schedule cache
-     * under the *current* fault epoch — the warm-start import. A
-     * snapshot never carries lowered routes (they bake the fault
-     * state in), so import-by-replay is correct under any fault
-     * state; replays count as lowerings, honestly. Const for the same
-     * reason the cache is mutable.
-     */
-    void prewarmSchedules(
-        const std::vector<net::CollectiveTask> &tasks) const
-    {
-        for (const net::CollectiveTask &task : tasks)
-            schedule_cache_.lowered(task, wafer_.faultEpoch());
-    }
-
-    /// Content signatures of every resident schedule (persist export).
+    /// Content signatures of every resident schedule (perfbench's
+    /// layer probe lowers them again, one call at a time).
     std::vector<net::CollectiveTask> exportScheduleTasks() const
     {
         return schedule_cache_.exportTasks();
@@ -216,15 +207,45 @@ class WaferCostModel
         return router_.poolStats();
     }
 
+    /// Governance counters of the TATP stream memo (see streamShape).
+    common::CacheStats streamCacheStats() const { return streams_.stats(); }
+
     /// Fraction of grad-sync communication hidden behind backward
     /// compute (bucketed overlap, as Megatron/FSDP implement).
     static constexpr double kGradSyncOverlap = 0.5;
 
   private:
+    /// What timeStream reads of a stream's physical chains.
+    struct StreamShape
+    {
+        tatp::ChainHops worst;   ///< the chain with the largest max_hop
+        std::size_t chains = 0;  ///< one per TATP group
+        /// Round 0 under contention (+inf when a route is missing).
+        double fwd_round_s = 0.0;
+        double bwd_round_s = 0.0;
+    };
+
+    /// Hashes a flat word key (the stream memo's).
+    struct WordsHash
+    {
+        std::size_t operator()(const std::vector<std::uint64_t> &words)
+            const;
+    };
+
     /// Times the TATP stream of an execution (all groups concurrently).
     void timeStream(const parallel::OpExecution &exec,
                     const parallel::GroupLayout &layout,
                     OpCostBreakdown &out) const;
+
+    /**
+     * Orders the TATP groups into chains and times round 0 of the
+     * stream over them under contention. A pure function of (groups
+     * in order, stream degree, per-round bytes, fault epoch), so it
+     * is computed once per key and served from streams_ after.
+     */
+    StreamShape streamShape(
+        const parallel::TatpStream &stream,
+        const std::vector<std::vector<hw::DieId>> &groups) const;
 
     const hw::Wafer &wafer_;
     tcme::MappingPolicy policy_;
@@ -239,8 +260,19 @@ class WaferCostModel
     tatp::ChainMapper chain_mapper_;
     tatp::TatpExecutor tatp_executor_;
     tcme::TrafficOptimizer optimizer_;
+    /**
+     * streamShape memo. The key words are the fault epoch, the bit
+     * pattern of bytes_per_round, the degree, the group count, then
+     * each group's size and dies; a result computed under one epoch
+     * can never be served under another, even when its insert races
+     * a setFaults(). Thread-safe; mutable like schedule_cache_.
+     */
+    mutable common::BoundedCache<std::vector<std::uint64_t>, StreamShape,
+                                 WordsHash>
+        streams_;
     /// Registration id of the wafer epoch listener that eagerly
-    /// flushes the schedule cache and route pool on setFaults().
+    /// flushes the schedule cache, stream memo and route pool on
+    /// setFaults().
     std::uint64_t epoch_listener_id_ = 0;
 };
 

@@ -96,9 +96,9 @@ class CommSchedule
     bool feasible = true;
 
     CommSchedule() = default;
-    // Copies drop the SoA view instead of duplicating it: the only
-    // copied schedules are cache entries about to be rewritten by the
-    // traffic optimizer, which re-finalizes after its rebuild.
+    // Copies drop the SoA view instead of duplicating it: a copy is
+    // made to be rewritten (optimize in place), and whoever evaluates
+    // it after re-finalizes.
     CommSchedule(const CommSchedule &other)
         : payload_bytes(other.payload_bytes), feasible(other.feasible),
           flows_(other.flows_), round_end_(other.round_end_)

@@ -23,15 +23,15 @@
  * recount as lowerings, so results stay bit-identical under any
  * budget. Default 0 = unbounded, the historical behaviour.
  *
- * Cached schedules are shared immutable snapshots: consumers that
- * mutate (the traffic optimizer rewrites routes in place) must copy
- * first. Flow copies are cheap — routes are pooled RouteRefs.
+ * Cached schedules are shared immutable snapshots: consumers read
+ * them (the traffic optimizer builds its output from them as parts)
+ * and never rewrite them.
  *
  * Phase cost: the cache also memoizes what running a phase costs — one
- * task, or several combined and contending (the cost model's
- * WaferCostModel::timeCollectiveTasks: combine, optimize, evaluate).
+ * task, or several contending (the cost model's
+ * WaferCostModel::timeCollectiveTasks: optimize the parts, evaluate).
  * The key is the *ordered* list of task signatures, stored in full and
- * compared exactly; order is part of it because combine() order fixes
+ * compared exactly; order is part of it because part order fixes
  * flow order and with it the optimizer's tie-breaks. Phase costs share
  * the schedules' fault epoch, flushes and budgets.
  */
@@ -149,11 +149,9 @@ class ScheduleCache
     void setMaxBytes(long max_bytes);
 
     /**
-     * Reconstructs the content signature of every resident schedule —
-     * the persist layer's export hook. Signatures only: lowered
-     * schedules bake the fault state into their routes, so snapshots
-     * re-lower ("replay") tasks at import under the live epoch instead
-     * of ever persisting routes.
+     * Reconstructs the content signature of every resident schedule,
+     * so a tool can lower the same tasks again (perfbench's layer
+     * probe replays them one call at a time).
      */
     std::vector<CollectiveTask> exportTasks() const;
 

@@ -16,7 +16,6 @@ constexpr char kMagic[8] = {'T', 'E', 'M', 'P', 'S', 'N', 'P', '\x01'};
 // Section tags read as their ASCII name in a little-endian hex dump.
 constexpr std::uint32_t kTagBreakdowns = 0x444b5242;   // "BRKD"
 constexpr std::uint32_t kTagStepReports = 0x50455453;  // "STEP"
-constexpr std::uint32_t kTagSchedules = 0x44484353;    // "SCHD"
 
 /// Ceiling on any count field before allocating: a corrupt or hostile
 /// file must not size containers from garbage bytes. Every persisted
@@ -150,40 +149,6 @@ getReport(ByteReader &r)
     return p;
 }
 
-void
-putTask(ByteWriter &w, const net::CollectiveTask &task)
-{
-    w.u8(static_cast<std::uint8_t>(task.kind));
-    w.i32(task.tag);
-    w.f64(task.bytes);
-    w.u32(static_cast<std::uint32_t>(task.group.size()));
-    for (net::DieId die : task.group)
-        w.i32(die);
-}
-
-net::CollectiveTask
-getTask(ByteReader &r)
-{
-    net::CollectiveTask task;
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(net::CollectiveKind::P2P)) {
-        r.fail();
-        return task;
-    }
-    task.kind = static_cast<net::CollectiveKind>(kind);
-    task.tag = r.i32();
-    task.bytes = r.f64();
-    const std::uint32_t members = r.u32();
-    if (!plausibleCount(members, sizeof(std::int32_t), r)) {
-        r.fail();
-        return task;
-    }
-    task.group.reserve(members);
-    for (std::uint32_t i = 0; i < members; ++i)
-        task.group.push_back(r.i32());
-    return task;
-}
-
 std::string
 encodeBreakdownSection(const MemoBlock &block)
 {
@@ -205,16 +170,6 @@ encodeStepSection(const MemoBlock &block)
         w.str(key);
         putReport(w, report);
     }
-    return w.take();
-}
-
-std::string
-encodeScheduleSection(const MemoBlock &block)
-{
-    ByteWriter w;
-    w.u64(block.schedule_tasks.size());
-    for (const net::CollectiveTask &task : block.schedule_tasks)
-        putTask(w, task);
     return w.take();
 }
 
@@ -285,17 +240,7 @@ decodeBlock(ByteReader &r, MemoBlock *block)
         block->step_reports.emplace_back(std::move(key),
                                          getReport(step));
     }
-    if (!step.ok() || !step.atEnd() || !r.ok())
-        return false;
-
-    ByteReader schd = getSection(r, kTagSchedules);
-    const std::uint64_t n_tasks = schd.u64();
-    if (!plausibleCount(n_tasks, 1 + 4 + 8 + 4, schd))
-        return false;
-    block->schedule_tasks.reserve(n_tasks);
-    for (std::uint64_t i = 0; i < n_tasks && schd.ok(); ++i)
-        block->schedule_tasks.push_back(getTask(schd));
-    return schd.ok() && schd.atEnd() && r.ok();
+    return step.ok() && step.atEnd() && r.ok();
 }
 
 }  // namespace
@@ -332,7 +277,6 @@ encodeSnapshot(const Snapshot &snapshot)
         w.str(block.framework_key);
         putSection(w, kTagBreakdowns, encodeBreakdownSection(block));
         putSection(w, kTagStepReports, encodeStepSection(block));
-        putSection(w, kTagSchedules, encodeScheduleSection(block));
     }
     return w.take();
 }
@@ -360,7 +304,7 @@ decodeSnapshot(const std::string &bytes, Snapshot *out,
     if (r.u64() != contractFingerprint())
         return failed("numeric-contract fingerprint mismatch");
     const std::uint32_t n_blocks = r.u32();
-    if (!r.ok() || !plausibleCount(n_blocks, 4 + 3 * (4 + 8 + 8), r))
+    if (!r.ok() || !plausibleCount(n_blocks, 4 + 2 * (4 + 8 + 8), r))
         return failed("truncated snapshot header");
     out->blocks.resize(n_blocks);
     for (std::uint32_t i = 0; i < n_blocks; ++i) {

@@ -232,12 +232,13 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
     std::vector<cost::OpCostBreakdown> cells;
     cells.reserve(graph.opCount());
     const std::uint64_t graph_fp = eval::graphFingerprint(graph);
+    // A full-wafer search: once per pass, not once per op.
+    const int usable_dies = wafer_.usableDieCount();
 
     for (int i = 0; i < graph.opCount(); ++i) {
         const model::Operator &op = graph.op(i);
         const ParallelSpec &spec = per_op_specs[i];
-        if (!spec.valid() ||
-            spec.totalDegree() > wafer_.usableDieCount()) {
+        if (!spec.valid() || spec.totalDegree() > usable_dies) {
             report.feasible = false;
             return report;
         }

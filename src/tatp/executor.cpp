@@ -20,7 +20,7 @@ TatpExecutor::hopTransferTime(double bytes, int hops) const
 
 TatpTiming
 TatpExecutor::timePass(double flops_per_round, double bytes_per_round,
-                       int rounds, const ChainInfo &chain,
+                       int rounds, const ChainHops &chain,
                        double flops_per_s) const
 {
     TatpTiming timing;
@@ -67,10 +67,9 @@ TatpExecutor::timePass(double flops_per_round, double bytes_per_round,
     // physical hops per step.
     const double n = rounds;
     const double avg_step_hops =
-        chain.hops.empty()
-            ? 1.0
-            : static_cast<double>(chain.total_hops) /
-                  static_cast<double>(chain.hops.size());
+        chain.steps == 0 ? 1.0
+                         : static_cast<double>(chain.total_hops) /
+                               static_cast<double>(chain.steps);
     timing.link_bytes =
         bytes_per_round * n * (n - 1.0) * std::max(1.0, avg_step_hops);
     timing.overlap_efficiency =

@@ -35,6 +35,20 @@ struct TatpTiming
     double overlap_efficiency = 0.0;
 };
 
+/// The hop figures of a chain that pass timing reads.
+struct ChainHops
+{
+    int max_hop = 0;     ///< largest inter-slot hop count
+    int total_hops = 0;  ///< sum of inter-slot hops
+    int steps = 0;       ///< inter-slot steps (chain length - 1)
+
+    static ChainHops of(const ChainInfo &chain)
+    {
+        return {chain.max_hop, chain.total_hops,
+                static_cast<int>(chain.hops.size())};
+    }
+};
+
 /// Times TATP streams and lowers them to flows for contention analysis.
 class TatpExecutor
 {
@@ -51,8 +65,16 @@ class TatpExecutor
      * @param flops_per_s Effective per-die compute throughput.
      */
     TatpTiming timePass(double flops_per_round, double bytes_per_round,
-                        int rounds, const ChainInfo &chain,
+                        int rounds, const ChainHops &chain,
                         double flops_per_s) const;
+
+    TatpTiming timePass(double flops_per_round, double bytes_per_round,
+                        int rounds, const ChainInfo &chain,
+                        double flops_per_s) const
+    {
+        return timePass(flops_per_round, bytes_per_round, rounds,
+                        ChainHops::of(chain), flops_per_s);
+    }
 
     /**
      * Times one naive unidirectional ring pass (the TSPP strawman): the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <span>
 
@@ -23,21 +24,40 @@ TrafficOptimizer::TrafficOptimizer(const net::Router &router, Config config)
 {
 }
 
-OptimizationStats
-TrafficOptimizer::optimize(net::CommSchedule &schedule) const
+net::CommSchedule
+TrafficOptimizer::optimize(std::span<const net::CommSchedule *const> parts,
+                           OptimizationStats *stats) const
 {
+    net::CommSchedule out;
+    std::size_t flow_count = 0;
+    std::size_t round_count = 0;
+    for (const net::CommSchedule *part : parts) {
+        flow_count += part->flowCount();
+        round_count = std::max(
+            round_count, static_cast<std::size_t>(part->roundCount()));
+        out.payload_bytes += part->payload_bytes;
+        out.feasible = out.feasible && part->feasible;
+    }
+
+    // Each round is assembled from the parts into a reused scratch
+    // vector, optimised there, and moved into the new arena: path
+    // merging can change a round's flow count, so rounds cannot be
+    // rewritten in place. Each flow is copied once, out of its part.
     OptimizationStats total;
-    // The arena is rebuilt round by round through a reused scratch
-    // vector: path merging can change a round's flow count, so rounds
-    // cannot be rewritten in place. Flow copies are RouteRef-cheap.
     std::vector<net::Flow> rebuilt;
-    rebuilt.reserve(schedule.flowCount());
+    rebuilt.reserve(flow_count);
     std::vector<std::uint32_t> round_end;
-    round_end.reserve(schedule.roundCount());
+    round_end.reserve(round_count);
     std::vector<net::Flow> scratch;
-    for (int r = 0; r < schedule.roundCount(); ++r) {
-        const std::span<const net::Flow> round = schedule.round(r);
-        scratch.assign(round.begin(), round.end());
+    for (std::size_t r = 0; r < round_count; ++r) {
+        scratch.clear();
+        for (const net::CommSchedule *part : parts) {
+            if (static_cast<int>(r) >= part->roundCount())
+                continue;
+            const std::span<const net::Flow> round =
+                part->round(static_cast<int>(r));
+            scratch.insert(scratch.end(), round.begin(), round.end());
+        }
         const OptimizationStats s = optimizePhase(scratch);
         total.initial_max_load = std::max(total.initial_max_load,
                                           s.initial_max_load);
@@ -47,14 +67,26 @@ TrafficOptimizer::optimize(net::CommSchedule &schedule) const
         total.reroutes += s.reroutes;
         total.merges += s.merges;
         ++total.phases;
-        rebuilt.insert(rebuilt.end(), scratch.begin(), scratch.end());
+        rebuilt.insert(rebuilt.end(), std::make_move_iterator(scratch.begin()),
+                       std::make_move_iterator(scratch.end()));
         round_end.push_back(static_cast<std::uint32_t>(rebuilt.size()));
     }
-    schedule.assign(std::move(rebuilt), std::move(round_end));
+    out.assign(std::move(rebuilt), std::move(round_end));
     // The optimized schedule goes straight to contention evaluation;
     // hand it the SoA deposit path.
-    schedule.finalize();
-    return total;
+    out.finalize();
+    if (stats != nullptr)
+        *stats = total;
+    return out;
+}
+
+OptimizationStats
+TrafficOptimizer::optimize(net::CommSchedule &schedule) const
+{
+    const net::CommSchedule *part = &schedule;
+    OptimizationStats stats;
+    schedule = optimize(std::span(&part, 1), &stats);
+    return stats;
 }
 
 OptimizationStats

@@ -18,6 +18,8 @@
  */
 #pragma once
 
+#include <span>
+
 #include "net/collective.hpp"
 #include "net/contention.hpp"
 #include "net/route.hpp"
@@ -60,9 +62,20 @@ class TrafficOptimizer
     TrafficOptimizer(const net::Router &router, Config config);
 
     /**
-     * Optimises every round of a schedule in place (rounds execute
-     * back-to-back, so each is an independent contention domain).
+     * Optimises the concurrent run of several schedules: round r of
+     * the result is round r of every part, in part order (the flows
+     * CommSchedule::combine would give it), optimised as one phase.
+     * Rounds execute back-to-back, so each is an independent
+     * contention domain. The parts are left untouched, and the result
+     * is finalized for contention evaluation.
+     *
+     * @param stats Optional out: the run's statistics.
      */
+    net::CommSchedule optimize(
+        std::span<const net::CommSchedule *const> parts,
+        OptimizationStats *stats = nullptr) const;
+
+    /// Optimises every round of one schedule in place.
     OptimizationStats optimize(net::CommSchedule &schedule) const;
 
     /// Optimises one phase (set of concurrent flows) in place.

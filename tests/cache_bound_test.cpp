@@ -249,11 +249,15 @@ TEST(CacheBound, BudgetTwoSolveIsBitIdenticalToUnbounded)
     for (const auto &[layer, stats] : bounded.cacheStats()) {
         if (layer == "eval_breakdowns" || layer == "step_reports" ||
             layer == "schedules" || layer == "schedule_phases" ||
-            layer == "sim_cells")
+            layer == "tatp_streams" || layer == "sim_cells")
             EXPECT_LE(stats.entries, 2) << layer;
         else if (layer == "layouts")
             EXPECT_LE(stats.entries, 4) << layer;
         EXPECT_GE(stats.entries, 0) << layer;
+        // The solve times more than two distinct TATP streams.
+        if (layer == "tatp_streams") {
+            EXPECT_GT(stats.evictions, 0) << layer;
+        }
     }
 }
 
@@ -291,7 +295,8 @@ TEST(CacheBound, ByteBudgetedSolveIsBitIdenticalAndVisible)
             EXPECT_LE(stats.bytes_est, 8 << 10) << layer;
         else if (layer == "layouts")
             EXPECT_LE(stats.bytes_est, 2 * (64 << 10)) << layer;
-        else if (layer == "schedules" || layer == "schedule_phases")
+        else if (layer == "schedules" || layer == "schedule_phases" ||
+                 layer == "tatp_streams")
             EXPECT_LE(stats.bytes_est, 32 << 10) << layer;
         EXPECT_GE(stats.bytes_est, 0) << layer;
     }
@@ -320,6 +325,7 @@ TEST(CacheBound, ServiceBudgetsHoldAfterEveryRequestAndEvictLru)
                      layer.layer == "step_reports" ||
                      layer.layer == "schedules" ||
                      layer.layer == "schedule_phases" ||
+                     layer.layer == "tatp_streams" ||
                      layer.layer == "sim_cells")
                 EXPECT_LE(layer.stats.entries, 2) << layer.layer;
             else if (layer.layer == "layouts")
@@ -361,7 +367,7 @@ TEST(CacheBound, ServiceBudgetsHoldAfterEveryRequestAndEvictLru)
     for (const char *layer :
          {"service_frameworks", "service_pods", "eval_breakdowns",
           "step_reports", "layouts", "schedules", "schedule_phases",
-          "routes", "sim_cells"})
+          "tatp_streams", "routes", "sim_cells"})
         EXPECT_NE(json.find(layer), std::string::npos) << layer;
     EXPECT_NE(json.find("\"evictions\":"), std::string::npos);
 }

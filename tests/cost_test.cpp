@@ -6,13 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
+#include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "cost/cost_model.hpp"
 #include "cost/mlp.hpp"
 #include "cost/power_model.hpp"
 #include "cost/surrogate.hpp"
+#include "eval/cost_evaluator.hpp"
 #include "model/graph.hpp"
 #include "model/model_zoo.hpp"
+#include "solver/strategy_space.hpp"
 
 namespace temp::cost {
 namespace {
@@ -223,6 +228,157 @@ TEST_F(CostModelTest, AxisVolumeEstimatesDriveOrdering)
     EXPECT_GT(volumes[static_cast<std::size_t>(parallel::Axis::DP)], 0.0);
     EXPECT_DOUBLE_EQ(volumes[static_cast<std::size_t>(parallel::Axis::CP)],
                      0.0);
+}
+
+/// Every timing and traffic field (the schedule lookup split depends
+/// on what was cached before, so it is not compared).
+void
+expectSameBreakdown(const OpCostBreakdown &a, const OpCostBreakdown &b)
+{
+    EXPECT_EQ(a.feasible, b.feasible);
+    EXPECT_EQ(a.fwd_time, b.fwd_time);
+    EXPECT_EQ(a.bwd_time, b.bwd_time);
+    EXPECT_EQ(a.step_comm_time, b.step_comm_time);
+    EXPECT_EQ(a.comp_time, b.comp_time);
+    EXPECT_EQ(a.collective_time, b.collective_time);
+    EXPECT_EQ(a.stream_comm_time, b.stream_comm_time);
+    EXPECT_EQ(a.exposed_comm, b.exposed_comm);
+    EXPECT_EQ(a.tail_latency, b.tail_latency);
+    EXPECT_EQ(a.d2d_link_bytes, b.d2d_link_bytes);
+    EXPECT_EQ(a.dram_bytes, b.dram_bytes);
+    EXPECT_EQ(a.flops, b.flops);
+    EXPECT_EQ(a.bw_utilization, b.bw_utilization);
+}
+
+TEST(StreamMemo, ReusedModelsCostEveryCellLikeAFreshModel)
+{
+    // A fresh cost model per cell computes every TATP stream and
+    // phase from scratch. A reused model serves repeats from its
+    // stream memo and schedule cache, under no budget, under a
+    // 1-entry budget, and from four threads at once; all must agree
+    // bit for bit.
+    const hw::WaferConfig base = hw::WaferConfig::paperDefault();
+    std::vector<std::unique_ptr<hw::Wafer>> wafers;
+    wafers.push_back(std::make_unique<hw::Wafer>(base));
+    wafers.push_back(std::make_unique<hw::Wafer>(base));
+    Rng rng(5);
+    wafers.back()->setFaults(hw::FaultMap::randomLinkFaults(
+        wafers.back()->topology(), 0.1, rng));
+    wafers.push_back(std::make_unique<hw::Wafer>(base.withGrid(8, 8)));
+
+    const tcme::MappingPolicy policy{tcme::MappingEngineKind::TCME};
+    common::CacheBudget one_entry;
+    one_entry.max_schedule_entries = 1;
+    ThreadPool wide_pool(4);
+    long stream_hits = 0;
+    for (const auto &wafer : wafers) {
+        WaferCostModel reused(*wafer, policy);
+        WaferCostModel bounded(*wafer, policy);
+        bounded.setCacheBudgets(one_entry);
+        WaferCostModel shared(*wafer, policy);
+        eval::ExactEvaluator serial_eval(reused, nullptr, false);
+        eval::ExactEvaluator bounded_eval(bounded, nullptr, false);
+        eval::ExactEvaluator wide_eval(shared, &wide_pool, false);
+        for (const char *name : {"GPT-3 6.7B", "Llama3 70B"}) {
+            const model::ModelConfig config = model::modelByName(name);
+            const model::ComputeGraph graph =
+                model::ComputeGraph::transformer(config);
+            std::vector<eval::EvalRequest> requests;
+            for (const ParallelSpec &s : solver::enumerateStrategies(
+                     wafer->usableDieCount(), config,
+                     solver::StrategySpaceOptions{}))
+                for (int i = 0; i < graph.opCount(); ++i)
+                    requests.push_back({i, s, true});
+            const auto served = serial_eval.evaluateBatch(graph, requests);
+            const auto budgeted =
+                bounded_eval.evaluateBatch(graph, requests);
+            const auto threaded = wide_eval.evaluateBatch(graph, requests);
+            for (std::size_t c = 0; c < requests.size(); ++c) {
+                SCOPED_TRACE(std::string(name) + " " +
+                             requests[c].spec.str() + " op " +
+                             std::to_string(requests[c].op_id));
+                WaferCostModel fresh(*wafer, policy);
+                const OpCostBreakdown expected = fresh.opCost(
+                    graph.op(requests[c].op_id),
+                    fresh.buildLayout(graph, requests[c].spec));
+                expectSameBreakdown(served[c], expected);
+                expectSameBreakdown(budgeted[c], expected);
+                expectSameBreakdown(threaded[c], expected);
+            }
+        }
+        stream_hits += reused.streamCacheStats().hits;
+        EXPECT_LE(bounded.streamCacheStats().entries, 1);
+        EXPECT_GT(bounded.streamCacheStats().evictions, 0);
+    }
+    EXPECT_GT(stream_hits, 0);
+}
+
+TEST_F(CostModelTest, StreamRecomputesUnderANewFaultEpoch)
+{
+    WaferCostModel model(wafer_,
+                         tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
+    const parallel::GroupLayout layout =
+        model.buildLayout(graph_, spec(1, 1, 1, 8));
+    const model::Operator &op = findOp(graph_, "fc1");
+    const OpCostBreakdown healthy = model.opCost(op, layout);
+    ASSERT_TRUE(healthy.feasible);
+    EXPECT_EQ(model.streamCacheStats().misses, 1);
+    expectSameBreakdown(model.opCost(op, layout), healthy);
+    EXPECT_EQ(model.streamCacheStats().hits, 1);
+
+    // Cut the first chain's first hop: its relays must detour.
+    const hw::DieId a = layout.groups(parallel::Axis::TATP)[0][0];
+    const hw::DieId b = layout.groups(parallel::Axis::TATP)[0][1];
+    hw::FaultMap faults(wafer_.dieCount(), wafer_.topology().linkCount());
+    faults.failLink(wafer_.topology().linkId(a, b));
+    faults.failLink(wafer_.topology().linkId(b, a));
+    wafer_.setFaults(faults);
+    EXPECT_EQ(model.streamCacheStats().entries, 0);
+
+    const OpCostBreakdown faulted = model.opCost(op, layout);
+    EXPECT_EQ(model.streamCacheStats().misses, 2);
+    WaferCostModel fresh(wafer_,
+                         tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
+    expectSameBreakdown(faulted, fresh.opCost(op, layout));
+    EXPECT_NE(faulted.stream_comm_time, healthy.stream_comm_time);
+
+    // The same fault content again is a new epoch: recomputed, not
+    // served from the entry computed before.
+    wafer_.setFaults(hw::FaultMap(wafer_.dieCount(),
+                                  wafer_.topology().linkCount()));
+    expectSameBreakdown(model.opCost(op, layout), healthy);
+    EXPECT_EQ(model.streamCacheStats().misses, 3);
+}
+
+TEST_F(CostModelTest, SMapStreamKeepsTheLayoutOrder)
+{
+    // One 8-die TATP chain along row 0, given in a shuffled order:
+    // every other step spans two hops. GMap re-orders it into the
+    // snake chain; SMap streams along the order it was given.
+    std::vector<hw::DieId> scattered = {0, 2, 1, 3, 4, 6, 5, 7};
+    std::vector<hw::DieId> snake = parallel::GroupLayout::snakeOrder(
+        wafer_.topology());
+    const parallel::GroupLayout chained(snake, spec(1, 1, 1, 8));
+    for (hw::DieId die : snake)
+        if (die >= 8)
+            scattered.push_back(die);
+    const parallel::GroupLayout shuffled(scattered, spec(1, 1, 1, 8));
+    ASSERT_EQ(shuffled.groups(parallel::Axis::TATP)[0][1], 2);
+
+    const model::Operator &op = findOp(graph_, "fc1");
+    WaferCostModel smap(wafer_,
+                        tcme::MappingPolicy{tcme::MappingEngineKind::SMap});
+    WaferCostModel gmap(wafer_,
+                        tcme::MappingPolicy{tcme::MappingEngineKind::GMap});
+    const OpCostBreakdown in_chain = smap.opCost(op, chained);
+    expectSameBreakdown(gmap.opCost(op, chained), in_chain);
+    expectSameBreakdown(gmap.opCost(op, shuffled), in_chain);
+
+    const OpCostBreakdown as_given = smap.opCost(op, shuffled);
+    EXPECT_GT(as_given.stream_comm_time, in_chain.stream_comm_time);
+    // Served from the memo, the SMap answer stays the unordered one.
+    expectSameBreakdown(smap.opCost(op, shuffled), as_given);
+    EXPECT_EQ(smap.streamCacheStats().hits, 1);
 }
 
 TEST(Mlp, LearnsLinearFunction)

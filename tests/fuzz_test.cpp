@@ -301,13 +301,9 @@ validSnapshots()
     report.grad_accum = 4;
     report.strategy_desc = "(dp=8,tp=1,sp=1,tatp=4)";
     block.step_reports.emplace_back("step-key-1", report);
-    net::CollectiveTask task;
-    task.group = {0, 1, 5, 9};
-    task.bytes = 1.0e6;
-    task.tag = 1001;
-    block.schedule_tasks.push_back(task);
-    task.kind = net::CollectiveKind::AllGather;
-    block.schedule_tasks.push_back(task);
+    report.oom = true;
+    report.feasible = false;
+    block.step_reports.emplace_back("step-key-2", report);
 
     persist::Snapshot one;
     one.blocks.push_back(block);

@@ -77,14 +77,8 @@ syntheticSnapshot()
     report.step_time = 0.125;
     report.oom = true;
     report.grad_accum = 4;
+    report.strategy_desc = "(dp=8,tp=1,sp=1,tatp=4)";
     block.step_reports.emplace_back("step-key-1", report);
-
-    net::CollectiveTask task;
-    task.kind = net::CollectiveKind::AllReduce;
-    task.group = {net::DieId{0}, net::DieId{1}, net::DieId{5}};
-    task.bytes = 1.0e6;
-    task.tag = 3;
-    block.schedule_tasks.push_back(task);
 
     Snapshot snapshot;
     snapshot.blocks.push_back(std::move(block));
@@ -109,9 +103,8 @@ TEST(SnapshotCodec, EncodeDecodeRoundTripsByteStable)
     ASSERT_EQ(block.step_reports.size(), 1u);
     EXPECT_TRUE(block.step_reports[0].second.oom);
     EXPECT_EQ(block.step_reports[0].second.grad_accum, 4);
-    ASSERT_EQ(block.schedule_tasks.size(), 1u);
-    EXPECT_EQ(block.schedule_tasks[0].group.size(), 3u);
-    EXPECT_EQ(block.schedule_tasks[0].tag, 3);
+    EXPECT_EQ(block.step_reports[0].second.strategy_desc,
+              "(dp=8,tp=1,sp=1,tatp=4)");
 
     // Decode then re-encode is the identity on the byte image: the
     // format has one canonical serialization.
