@@ -1,7 +1,7 @@
 /**
  * @file
- * Kernel microbench: the three data-oriented inner loops carved out of
- * the cost stack, each timed against its reference scalar twin.
+ * Kernel microbench: the two data-oriented inner loops carved out of
+ * the network cost stack, each timed against its reference scalar twin.
  *
  * Sections, each emitted as a BENCH_JSON line:
  *
@@ -11,16 +11,14 @@
  *    kernel (set-or-add, no sort, no reset pass);
  *  - drain_scan: the contention bottleneck search over epoch-stamped
  *    links (L1-resident, like real fabrics), no-autovec scalar twin vs
- *    the vector path;
- *  - breakdown_reduce: the per-layer field sums over ~4K breakdown
- *    cells, scalar twin vs the lane-per-accumulator vector path.
+ *    the vector path.
  *
  * Acceptance bars (non-zero exit on failure, CI runs this binary):
  *
  *  - every SIMD/SoA path is never slower than its scalar twin
  *    (speedup >= 0.9, the 0.1 slack absorbs timer noise);
  *  - on a vector-capable build (TEMP_SIMD on AND the TU compiled with
- *    AVX2/AVX-512), at least 2 of the 3 sections reach >= 1.5x.
+ *    AVX2/AVX-512), both sections reach >= 1.5x.
  *    Default -O2 builds (SSE2 baseline) only enforce never-slower.
  *
  * Every section also asserts the two paths produce bit-identical
@@ -37,7 +35,6 @@
 #include <vector>
 
 #include "common/kernels.hpp"
-#include "cost/breakdown_reduce.hpp"
 
 using namespace temp;
 
@@ -119,7 +116,7 @@ int
 main()
 {
     bench::banner("Kernel micropath",
-                  "fused deposit, drain scan, breakdown reduce");
+                  "fused deposit, drain scan");
 #if TEMP_SIMD_ENABLED && (defined(__AVX2__) || defined(__AVX512F__))
     const bool vector_build = true;
 #else
@@ -131,7 +128,7 @@ main()
     std::mt19937_64 rng(20260808);
     const int trials = 7;
     bool ok = true;
-    double speedups[3] = {0.0, 0.0, 0.0};
+    double speedups[2] = {0.0, 0.0};
 
     // --- deposit: touched-sort machinery vs fused epoch kernel ---------
     {
@@ -317,80 +314,9 @@ main()
                     speedups[1]);
     }
 
-    // --- breakdown reduce: scalar twin vs lane-per-field path ----------
-    {
-        const int n_cells = 4096;
-        const int reps = 2000;
-        std::uniform_real_distribution<double> v(0.0, 1.0);
-        std::vector<cost::OpCostBreakdown> cells(n_cells);
-        for (cost::OpCostBreakdown &c : cells) {
-            c.fwd_time = v(rng);
-            c.bwd_time = v(rng);
-            c.comp_time = v(rng);
-            c.collective_time = v(rng);
-            c.stream_comm_time = v(rng);
-            c.step_comm_time = v(rng);
-            c.exposed_comm = v(rng);
-            c.tail_latency = v(rng);
-            c.flops = v(rng) * 1e12;
-            c.dram_bytes = v(rng) * 1e9;
-            c.d2d_link_bytes = v(rng) < 0.8 ? v(rng) * 1e9 : 0.0;
-            c.bw_utilization = v(rng) < 0.9 ? v(rng) : 0.0;
-            c.feasible = v(rng) < 0.95;
-        }
-
-        const cost::BreakdownSums scalar_r =
-            cost::reduceBreakdownsScalar(cells);
-        const cost::BreakdownSums simd_r =
-            cost::reduceBreakdownsSimd(cells);
-        if (std::memcmp(&scalar_r, &simd_r, sizeof scalar_r) != 0) {
-            std::printf("FAIL: breakdown reduce scalar/simd diverged\n");
-            ok = false;
-        }
-        std::vector<double> tot_a(n_cells);
-        std::vector<double> tot_b(n_cells);
-        cost::breakdownTotalsScalar(cells, tot_a.data());
-        cost::breakdownTotalsSimd(cells, tot_b.data());
-        if (std::memcmp(tot_a.data(), tot_b.data(),
-                        tot_a.size() * sizeof(double)) != 0) {
-            std::printf("FAIL: breakdown totals scalar/simd diverged\n");
-            ok = false;
-        }
-
-        double sink = 0.0;
-        const Paired t = pairedBestOf(
-            trials,
-            [&] {
-                for (int r = 0; r < reps; ++r) {
-                    sink += cost::reduceBreakdownsScalar(cells).wall;
-                    cost::breakdownTotalsScalar(cells, tot_a.data());
-                }
-            },
-            [&] {
-                for (int r = 0; r < reps; ++r) {
-                    sink += cost::reduceBreakdownsSimd(cells).wall;
-                    cost::breakdownTotalsSimd(cells, tot_b.data());
-                }
-            });
-        const double scalar_s = t.a;
-        const double simd_s = t.b;
-        const double reduced = static_cast<double>(n_cells) * reps;
-        speedups[2] = simd_s > 0.0 ? scalar_s / simd_s : 0.0;
-        std::printf("Breakdown reduce: scalar %.0f Mcell/s, simd %.0f "
-                    "Mcell/s (x%.2f, sink %.3g)\n",
-                    reduced / scalar_s / 1e6, reduced / simd_s / 1e6,
-                    speedups[2], sink);
-        std::printf("BENCH_JSON {\"bench\":\"micro_kernels\","
-                    "\"section\":\"breakdown_reduce\",\"cells\":%d,"
-                    "\"scalar_cells_per_s\":%.3e,"
-                    "\"simd_cells_per_s\":%.3e,\"speedup\":%.2f}\n",
-                    n_cells, reduced / scalar_s, reduced / simd_s,
-                    speedups[2]);
-    }
-
     // --- acceptance bars (CI smoke) -------------------------------------
-    const char *names[3] = {"deposit", "drain_scan", "breakdown_reduce"};
-    for (int i = 0; i < 3; ++i) {
+    const char *names[2] = {"deposit", "drain_scan"};
+    for (int i = 0; i < 2; ++i) {
         if (speedups[i] < 0.9) {
             std::printf("FAIL: %s vector path x%.2f slower than its "
                         "scalar twin\n",
@@ -403,9 +329,9 @@ main()
         for (double s : speedups)
             fast += s >= 1.5 ? 1 : 0;
         if (fast < 2) {
-            std::printf("FAIL: only %d of 3 kernels reached 1.5x on a "
-                        "vector-capable build (x%.2f, x%.2f, x%.2f)\n",
-                        fast, speedups[0], speedups[1], speedups[2]);
+            std::printf("FAIL: only %d of 2 kernels reached 1.5x on a "
+                        "vector-capable build (x%.2f, x%.2f)\n",
+                        fast, speedups[0], speedups[1]);
             ok = false;
         }
     }

@@ -6,12 +6,9 @@ TempFramework::TempFramework(hw::WaferConfig wafer_config,
                              FrameworkOptions options)
     : options_(options),
       wafer_(std::make_unique<hw::Wafer>(wafer_config)),
-      sim_(std::make_unique<sim::TrainingSimulator>(*wafer_, options.policy,
-                                                    options.training)),
       pool_(std::make_unique<ThreadPool>(options.eval_threads)),
-      exact_(std::make_unique<eval::ExactEvaluator>(
-          sim_->costModel(), pool_.get(), /*memoize_breakdowns=*/false)),
-      evaluator_(std::make_unique<eval::CachingEvaluator>(*exact_)),
+      sim_(std::make_unique<sim::TrainingSimulator>(
+          *wafer_, options.policy, options.training, pool_.get())),
       steps_(std::make_unique<eval::StepEvaluator>(*sim_, pool_.get()))
 {
     // Cache governance: thread the entry and byte budgets through
@@ -20,11 +17,8 @@ TempFramework::TempFramework(hw::WaferConfig wafer_config,
     // guarantees its tests assert — are untouched unless a budget is
     // configured.
     if (options.cache.boundsFramework()) {
-        evaluator_->setMaxEntries(options.cache.max_eval_entries);
-        evaluator_->setMaxBytes(options.cache.max_eval_bytes);
         steps_->setMaxEntries(options.cache.max_step_entries);
         steps_->setMaxBytes(options.cache.max_step_bytes);
-        exact_->setCacheBudget(options.cache);
         sim_->setCacheBudget(options.cache);
     }
 }
@@ -33,7 +27,7 @@ persist::MemoBlock
 TempFramework::exportMemos() const
 {
     persist::MemoBlock block;
-    evaluator_->forEachCached(
+    sim_->evaluator().forEachCached(
         [&](const std::string &key, const cost::OpCostBreakdown &b) {
             block.breakdowns.emplace_back(key, b);
         });
@@ -48,7 +42,7 @@ void
 TempFramework::importMemos(const persist::MemoBlock &block) const
 {
     for (const auto &[key, breakdown] : block.breakdowns)
-        evaluator_->importCached(key, breakdown);
+        sim_->evaluator().importCached(key, breakdown);
     for (const auto &[key, report] : block.step_reports)
         steps_->importCached(key, report);
 }
@@ -56,17 +50,15 @@ TempFramework::importMemos(const persist::MemoBlock &block) const
 std::vector<std::pair<std::string, common::CacheStats>>
 TempFramework::cacheStats() const
 {
-    common::CacheStats layouts = exact_->layoutCache().cacheStats();
-    layouts += sim_->layoutCache().cacheStats();
+    const eval::ExactEvaluator &evaluator = sim_->evaluator();
     return {
-        {"eval_breakdowns", evaluator_->cacheStats()},
+        {"eval_breakdowns", evaluator.breakdownCacheStats()},
         {"step_reports", steps_->cacheStats()},
-        {"layouts", layouts},
+        {"layouts", evaluator.layoutCache().cacheStats()},
         {"schedules", sim_->costModel().scheduleCacheStats()},
         {"schedule_phases", sim_->costModel().phaseCacheStats()},
         {"tatp_streams", sim_->costModel().streamCacheStats()},
         {"routes", sim_->costModel().routePoolStats()},
-        {"sim_cells", sim_->cellCacheStats()},
     };
 }
 
@@ -81,7 +73,7 @@ TempFramework::optimize(const model::ModelConfig &model,
                         const solver::SolveBudget &budget) const
 {
     const model::ComputeGraph graph = model::ComputeGraph::transformer(model);
-    solver::DlsSolver solver(*sim_, options_.solver, evaluator_.get(),
+    solver::DlsSolver solver(*sim_, options_.solver, &sim_->evaluator(),
                              steps_.get());
     return solver.solve(graph, nullptr, budget);
 }
@@ -94,24 +86,20 @@ DegradedContext::DegradedContext(const hw::WaferConfig &config,
     // Steps 2-3 (re-balance partitioning, re-route communication) run
     // in optimize() against this derate-/fault-aware stack. The
     // degraded wafer has its own cost model, so the shared healthy
-    // evaluator cannot serve it; this context-local evaluator (sharing
-    // the framework pool) keeps the caching + parallel fill — and,
-    // unlike the historical per-call locals, keeps its memos across
-    // calls.
+    // evaluator cannot serve it; this context's simulator evaluator
+    // (sharing the framework pool) keeps the caching + parallel fill —
+    // and, unlike the historical per-call locals, keeps its memos
+    // across calls.
     : options_(options), fingerprint_(faults.contentFingerprint()),
       wafer_(config, faults),
-      sim_(wafer_, options.policy, options.training),
-      exact_(sim_.costModel(), pool, /*memoize_breakdowns=*/false),
-      eval_(exact_), steps_(sim_, pool)
+      sim_(wafer_, options.policy, options.training, pool),
+      steps_(sim_, pool)
 {
     // Same governance the healthy framework applies in its ctor: a
     // long-lived degraded context must honour the configured budgets.
     if (options.cache.boundsFramework()) {
-        eval_.setMaxEntries(options.cache.max_eval_entries);
-        eval_.setMaxBytes(options.cache.max_eval_bytes);
         steps_.setMaxEntries(options.cache.max_step_entries);
         steps_.setMaxBytes(options.cache.max_step_bytes);
-        exact_.setCacheBudget(options.cache);
         sim_.setCacheBudget(options.cache);
     }
 }
@@ -123,7 +111,8 @@ DegradedContext::optimize(const model::ModelConfig &model,
 {
     const model::ComputeGraph graph =
         model::ComputeGraph::transformer(model);
-    solver::DlsSolver solver(sim_, options_.solver, &eval_, &steps_);
+    solver::DlsSolver solver(sim_, options_.solver, &sim_.evaluator(),
+                             &steps_);
     return solver.solve(graph, hints, budget);
 }
 

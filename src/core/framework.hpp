@@ -90,7 +90,7 @@ struct FrameworkOptions
 
 /**
  * A reusable degraded-wafer solve context: the wafer rebuilt under one
- * fault state plus a full evaluator stack (simulator, caching matrix
+ * fault state plus a full evaluator stack (simulator with its matrix
  * evaluator, step evaluator) over it. optimizeWithFaults() historically
  * built and discarded this per call; holding one keeps the degraded
  * memos alive, so a repeat solve of the same model on the same fault
@@ -131,8 +131,6 @@ class DegradedContext
     std::uint64_t fingerprint_;
     hw::Wafer wafer_;
     sim::TrainingSimulator sim_;
-    eval::ExactEvaluator exact_;
-    eval::CachingEvaluator eval_;
     eval::StepEvaluator steps_;
 };
 
@@ -198,13 +196,13 @@ class TempFramework
     const FrameworkOptions &options() const { return options_; }
 
     /**
-     * The framework-owned evaluation backend: a caching evaluator over
-     * the simulator's cost model, shared by every optimize() call so
-     * DP, refiner seeding and repeat optimisations of the same model
-     * never re-measure a matrix cell. SolverResult's
-     * matrix_measurements / cache_hits report its per-solve deltas.
+     * The framework-owned evaluation backend: the simulator's
+     * evaluator, shared by every optimize() call so DP, refiner
+     * seeding and repeat optimisations of the same model never
+     * re-measure a matrix cell. SolverResult's matrix_measurements /
+     * cache_hits report its per-solve deltas.
      */
-    eval::CostEvaluator &evaluator() const { return *evaluator_; }
+    eval::CostEvaluator &evaluator() const { return sim_->evaluator(); }
 
     /**
      * The framework-owned full-step evaluation backend: the memoized,
@@ -216,32 +214,35 @@ class TempFramework
     eval::StepEvaluator &stepEvaluator() const { return *steps_; }
 
     /// Cumulative evaluator counters since construction.
-    eval::EvalStats evaluatorStats() const { return evaluator_->stats(); }
+    eval::EvalStats evaluatorStats() const
+    {
+        return sim_->evaluator().stats();
+    }
 
     /// Cumulative full-step simulation counters since construction.
     eval::StepStats stepStats() const { return steps_->stats(); }
 
     /**
      * Governance counters of every memo layer this framework owns,
-     * as (layer name, counters) pairs: eval_breakdowns (the shared
-     * CachingEvaluator memo), step_reports, layouts (simulator +
-     * exact-evaluator layout caches combined), schedules (the shared
-     * net::ScheduleCache), schedule_phases (its phase-cost store),
-     * tatp_streams (the cost model's TATP stream memo), routes (the
-     * Router pool) and sim_cells (the simulator's per-op cell memo).
-     * The layer names are the
-     * CacheStatsRequest JSON vocabulary.
+     * as (layer name, counters) pairs: eval_breakdowns (the
+     * simulator's evaluator memo: matrix cells and step-simulation
+     * cells), step_reports, layouts (the same evaluator's layout
+     * cache), schedules (the shared net::ScheduleCache),
+     * schedule_phases (its phase-cost store), tatp_streams (the cost
+     * model's TATP stream memo) and routes (the Router pool). The
+     * layer names are the CacheStatsRequest JSON vocabulary.
      */
     std::vector<std::pair<std::string, common::CacheStats>> cacheStats()
         const;
 
     /**
      * Exports this framework's persistable memo layers — breakdown
-     * memo and step-report memo — as one snapshot block (framework_key
-     * left empty; the service stamps its canonical key). Layout and
-     * network caches are deliberately not exported: they are only
-     * consulted on breakdown or report misses, so a warm tier never
-     * needs them, and they re-build bit-identically when it does miss.
+     * memo (matrix and step-simulation cells) and step-report memo —
+     * as one snapshot block (framework_key left empty; the service
+     * stamps its canonical key). Layout and network caches are
+     * deliberately not exported: they are only consulted on breakdown
+     * or report misses, so a warm tier never needs them, and they
+     * re-build bit-identically when it does miss.
      */
     persist::MemoBlock exportMemos() const;
 
@@ -256,10 +257,8 @@ class TempFramework
   private:
     FrameworkOptions options_;
     std::unique_ptr<hw::Wafer> wafer_;
-    std::unique_ptr<sim::TrainingSimulator> sim_;
     std::unique_ptr<ThreadPool> pool_;
-    std::unique_ptr<eval::ExactEvaluator> exact_;
-    std::unique_ptr<eval::CachingEvaluator> evaluator_;
+    std::unique_ptr<sim::TrainingSimulator> sim_;
     std::unique_ptr<eval::StepEvaluator> steps_;
 };
 

@@ -2,12 +2,10 @@
 
 #include <limits>
 
-#include "common/kernels.hpp"
-
 namespace temp::cost {
 
-TEMP_NO_AUTOVEC BreakdownSums
-reduceBreakdownsScalar(std::span<const OpCostBreakdown> cells)
+BreakdownSums
+reduceBreakdowns(std::span<const OpCostBreakdown> cells)
 {
     BreakdownSums s;
     for (const OpCostBreakdown &c : cells) {
@@ -28,72 +26,12 @@ reduceBreakdownsScalar(std::span<const OpCostBreakdown> cells)
     return s;
 }
 
-BreakdownSums
-reduceBreakdownsSimd(std::span<const OpCostBreakdown> cells)
-{
-    // The field sums are 11 independent accumulation chains, each
-    // adding cells in order — reassociating any one of them across
-    // cells would change bits, so the vector win here is *within* a
-    // cell: branchless selects (the util blend is +0.0, the identity on
-    // these non-negative accumulations) and adjacent-field grouping the
-    // compiler can SLP-pack, with -ffp-contract=off keeping the util
-    // product out of an FMA.
-    BreakdownSums s;
-    for (const OpCostBreakdown &c : cells) {
-        const bool use_util =
-            c.bw_utilization > 0.0 && c.d2d_link_bytes > 0.0;
-        s.wall += c.fwd_time + c.bwd_time;
-        s.comp += c.comp_time;
-        s.collective += c.collective_time;
-        s.stream += c.stream_comm_time;
-        s.exposed += c.exposed_comm;
-        s.tail += c.tail_latency;
-        s.flops += c.flops;
-        s.dram += c.dram_bytes;
-        s.d2d += c.d2d_link_bytes;
-        s.util_acc +=
-            use_util ? c.bw_utilization * c.d2d_link_bytes : 0.0;
-        s.util_weight += use_util ? c.d2d_link_bytes : 0.0;
-    }
-    return s;
-}
-
-BreakdownSums
-reduceBreakdowns(std::span<const OpCostBreakdown> cells)
-{
-    return kernels::simdActive() ? reduceBreakdownsSimd(cells)
-                                 : reduceBreakdownsScalar(cells);
-}
-
-TEMP_NO_AUTOVEC void
-breakdownTotalsScalar(std::span<const OpCostBreakdown> cells, double *out)
+void
+breakdownTotals(std::span<const OpCostBreakdown> cells, double *out)
 {
     const double inf = std::numeric_limits<double>::infinity();
     for (std::size_t k = 0; k < cells.size(); ++k)
         out[k] = cells[k].feasible ? cells[k].total() : inf;
-}
-
-void
-breakdownTotalsSimd(std::span<const OpCostBreakdown> cells, double *out)
-{
-    // Independent per-cell expressions; total() keeps its association
-    // ((fwd + bwd) + step_comm).
-    const double inf = std::numeric_limits<double>::infinity();
-    const OpCostBreakdown *c = cells.data();
-    const std::size_t n = cells.size();
-    TEMP_PRAGMA_SIMD
-    for (std::size_t k = 0; k < n; ++k) {
-        const double total =
-            (c[k].fwd_time + c[k].bwd_time) + c[k].step_comm_time;
-        out[k] = c[k].feasible ? total : inf;
-    }
-}
-
-void
-breakdownTotals(std::span<const OpCostBreakdown> cells, double *out)
-{
-    return kernels::simdActive() ? breakdownTotalsSimd(cells, out)
-                                 : breakdownTotalsScalar(cells, out);
 }
 
 }  // namespace temp::cost

@@ -5,10 +5,7 @@
  * solvers' (op, strategy) matrices are filled from.
  *
  * Bit-exactness: each output accumulator keeps the exact per-cell
- * addition order of the former field-by-field loop; the SIMD variants
- * vectorize *across independent accumulators* (one lane per field) and
- * across independent cells (the totals column), never reassociating any
- * single accumulation chain. See common/kernels.hpp for the contract.
+ * addition order of the former field-by-field loop.
  */
 #pragma once
 
@@ -36,19 +33,13 @@ struct BreakdownSums
     double util_weight = 0.0;  ///< sum of d2d_link_bytes
 };
 
-BreakdownSums reduceBreakdownsScalar(std::span<const OpCostBreakdown> cells);
-BreakdownSums reduceBreakdownsSimd(std::span<const OpCostBreakdown> cells);
-/// Runtime-dispatched reduction (kernels::simdActive()).
+/// Sums the cells' fields, each in cell order.
 BreakdownSums reduceBreakdowns(std::span<const OpCostBreakdown> cells);
 
 /**
  * Fills `out[k] = cells[k].feasible ? cells[k].total() : +inf` — the
  * additive-model matrix column. `out` must hold cells.size() doubles.
  */
-void breakdownTotalsScalar(std::span<const OpCostBreakdown> cells,
-                           double *out);
-void breakdownTotalsSimd(std::span<const OpCostBreakdown> cells,
-                         double *out);
 void breakdownTotals(std::span<const OpCostBreakdown> cells, double *out);
 
 }  // namespace temp::cost

@@ -90,11 +90,12 @@ LayoutCache::LayoutCache(const cost::WaferCostModel &model) : model_(model)
 
 std::shared_ptr<const GroupLayout>
 LayoutCache::layoutFor(const model::ComputeGraph &graph,
-                       const ParallelSpec &spec)
+                       const ParallelSpec &spec, bool counted)
 {
     const std::string key = layoutKey(graphFingerprint(graph), spec);
     if (auto cached = cache_.get(key)) {
-        ++hits_;
+        if (counted)
+            ++hits_;
         return *cached;
     }
     // Build outside the cache lock (construction dominates); on a
@@ -103,20 +104,16 @@ LayoutCache::layoutFor(const model::ComputeGraph &graph,
     auto layout =
         std::make_shared<const GroupLayout>(model_.buildLayout(graph, spec));
     auto [resident, inserted] = cache_.insert(key, std::move(layout));
-    if (inserted)
-        ++builds_;
-    else
-        ++hits_;
+    if (counted)
+        ++(inserted ? builds_ : hits_);
     return resident;
 }
 
 namespace {
 
 /**
- * The shared dedup machinery of the batched evaluators: each distinct
- * key gets one slot; every request maps to a slot. With `dedup` off
- * (non-memoizing backends, where served-from-memo accounting would be
- * a lie) every request is its own slot.
+ * Folds a batch's repeated requests: each distinct key gets one slot;
+ * every request maps to a slot.
  */
 struct BatchPlan
 {
@@ -126,18 +123,9 @@ struct BatchPlan
     std::vector<std::size_t> request_slot;
 
     BatchPlan(std::uint64_t graph_fp,
-              const std::vector<EvalRequest> &requests, bool dedup)
+              const std::vector<EvalRequest> &requests)
     {
         request_slot.resize(requests.size());
-        if (!dedup) {
-            distinct_keys.resize(requests.size());
-            distinct_request.resize(requests.size());
-            for (std::size_t i = 0; i < requests.size(); ++i) {
-                distinct_request[i] = i;
-                request_slot[i] = i;
-            }
-            return;
-        }
         std::unordered_map<std::string, std::size_t> slot_of;
         for (std::size_t i = 0; i < requests.size(); ++i) {
             std::string key = evalKey(graph_fp, requests[i]);
@@ -209,54 +197,70 @@ CostEvaluator::evaluateBatch(const model::ComputeGraph &graph,
 // ---------------------------------------------------------------------
 
 ExactEvaluator::ExactEvaluator(const cost::WaferCostModel &model,
-                               ThreadPool *pool, bool memoize_breakdowns)
-    : model_(model), pool_(pool), memoize_(memoize_breakdowns),
-      layouts_(model)
+                               ThreadPool *pool)
+    : model_(model), pool_(pool), layouts_(model)
 {
+    // Layouts place groups around the faults and breakdowns bake the
+    // fault state in, so a setFaults() on the live wafer drops both
+    // (the cost model flushes its own network caches the same way).
+    epoch_listener_id_ =
+        model_.wafer().addEpochListener([this](std::uint64_t) {
+            layouts_.clear();
+            cache_.clear();
+        });
+}
+
+ExactEvaluator::~ExactEvaluator()
+{
+    model_.wafer().removeEpochListener(epoch_listener_id_);
 }
 
 cost::OpCostBreakdown
-ExactEvaluator::compute(const model::ComputeGraph &graph,
-                        const EvalRequest &request)
+ExactEvaluator::serve(const cost::OpCostBreakdown &cached)
 {
-    const std::shared_ptr<const GroupLayout> layout =
-        layouts_.layoutFor(graph, request.spec);
-    return model_.opCost(graph.op(request.op_id), *layout,
-                         request.include_step);
+    ++cache_hits_;
+    cost::OpCostBreakdown served = cached;
+    markScheduleServed(served);
+    schedule_cache_hits_ += served.schedule_cache_hits;
+    return served;
 }
 
 cost::OpCostBreakdown
 ExactEvaluator::evaluate(const model::ComputeGraph &graph,
                          const EvalRequest &request)
 {
-    if (!memoize_) {
-        ++measurements_;
-        const cost::OpCostBreakdown breakdown = compute(graph, request);
-        schedule_lowerings_ += breakdown.schedule_lowerings;
-        schedule_cache_hits_ += breakdown.schedule_cache_hits;
-        return breakdown;
-    }
     const std::string key = evalKey(graphFingerprint(graph), request);
+    if (auto cached = cache_.get(key))
+        return serve(*cached);
+    const std::shared_ptr<const GroupLayout> layout =
+        layouts_.layoutFor(graph, request.spec);
+    const cost::OpCostBreakdown breakdown = model_.opCost(
+        graph.op(request.op_id), *layout, request.include_step);
+    auto [resident, inserted] = cache_.insert(key, breakdown);
+    if (!inserted)
+        return serve(resident);
+    ++measurements_;
+    schedule_lowerings_ += breakdown.schedule_lowerings;
+    schedule_cache_hits_ += breakdown.schedule_cache_hits;
+    return resident;
+}
+
+cost::OpCostBreakdown
+ExactEvaluator::stepCell(std::uint64_t graph_fp, const EvalRequest &request,
+                         const model::Operator &op,
+                         const parallel::OpExecution &exec,
+                         const GroupLayout &layout)
+{
+    const std::string key = evalKey(graph_fp, request);
     if (auto cached = cache_.get(key)) {
-        ++cache_hits_;
         cost::OpCostBreakdown served = *cached;
         markScheduleServed(served);
-        schedule_cache_hits_ += served.schedule_cache_hits;
         return served;
     }
-    const cost::OpCostBreakdown breakdown = compute(graph, request);
-    auto [resident, inserted] = cache_.insert(key, breakdown);
-    if (inserted) {
-        ++measurements_;
-        schedule_lowerings_ += breakdown.schedule_lowerings;
-        schedule_cache_hits_ += breakdown.schedule_cache_hits;
-        return resident;
-    }
-    ++cache_hits_;
-    cost::OpCostBreakdown served = resident;
-    markScheduleServed(served);
-    schedule_cache_hits_ += served.schedule_cache_hits;
-    return served;
+    const cost::OpCostBreakdown breakdown =
+        model_.opCost(exec, op, layout, request.include_step);
+    cache_.insert(key, breakdown);
+    return breakdown;
 }
 
 std::vector<cost::OpCostBreakdown>
@@ -268,32 +272,24 @@ ExactEvaluator::evaluateBatch(const model::ComputeGraph &graph,
     if (requests.empty())
         return results;
     const std::uint64_t graph_fp = graphFingerprint(graph);
-    // Without the memo there is nothing to serve duplicates from, so
-    // every request is its own slot and no hit is ever reported.
-    const BatchPlan plan(graph_fp, requests, /*dedup=*/memoize_);
+    const BatchPlan plan(graph_fp, requests);
     const std::size_t n_slots = plan.distinct_request.size();
 
     // Serve cached slots; collect the misses.
     std::vector<cost::OpCostBreakdown> slot_value(n_slots);
     std::vector<bool> slot_cached(n_slots, false);
     std::vector<std::size_t> missing;
-    if (memoize_) {
-        for (std::size_t s = 0; s < n_slots; ++s) {
-            if (auto cached = cache_.get(plan.distinct_keys[s])) {
-                slot_value[s] = *cached;
-                slot_cached[s] = true;
-            } else {
-                missing.push_back(s);
-            }
-        }
-    } else {
-        for (std::size_t s = 0; s < n_slots; ++s)
+    for (std::size_t s = 0; s < n_slots; ++s) {
+        if (auto cached = cache_.get(plan.distinct_keys[s])) {
+            slot_value[s] = *cached;
+            slot_cached[s] = true;
+        } else {
             missing.push_back(s);
+        }
     }
     auto slot_request = [&](std::size_t s) -> const EvalRequest & {
         return requests[plan.distinct_request[s]];
     };
-
     // Phase 1: build the missing specs' layouts, one task per distinct
     // spec, keeping the shared_ptr at hand so phase 2 reads it without
     // re-keying or touching the cache mutex per cell.
@@ -335,11 +331,8 @@ ExactEvaluator::evaluateBatch(const model::ComputeGraph &graph,
         for (std::size_t m = 0; m < missing.size(); ++m)
             compute_missing(m);
     measurements_ += static_cast<long>(missing.size());
-
-    if (memoize_ && !missing.empty()) {
-        for (std::size_t s : missing)
-            cache_.insert(plan.distinct_keys[s], slot_value[s]);
-    }
+    for (std::size_t s : missing)
+        cache_.insert(plan.distinct_keys[s], slot_value[s]);
 
     long sched_lowerings = 0;
     long sched_hits = 0;
@@ -372,101 +365,6 @@ ExactEvaluator::setCacheBudget(const common::CacheBudget &budget)
     cache_.setMaxBytes(budget.max_eval_bytes);
     layouts_.setMaxEntries(budget.max_layout_entries);
     layouts_.setMaxBytes(budget.max_layout_bytes);
-}
-
-// ---------------------------------------------------------------------
-// CachingEvaluator
-// ---------------------------------------------------------------------
-
-CachingEvaluator::CachingEvaluator(CostEvaluator &inner) : inner_(inner)
-{
-}
-
-cost::OpCostBreakdown
-CachingEvaluator::evaluate(const model::ComputeGraph &graph,
-                           const EvalRequest &request)
-{
-    const std::string key = evalKey(graphFingerprint(graph), request);
-    if (auto cached = cache_.get(key)) {
-        ++cache_hits_;
-        cost::OpCostBreakdown served = *cached;
-        markScheduleServed(served);
-        schedule_cache_hits_ += served.schedule_cache_hits;
-        return served;
-    }
-    const cost::OpCostBreakdown breakdown = inner_.evaluate(graph, request);
-    auto [resident, inserted] = cache_.insert(key, breakdown);
-    if (inserted) {
-        ++measurements_;
-        schedule_lowerings_ += breakdown.schedule_lowerings;
-        schedule_cache_hits_ += breakdown.schedule_cache_hits;
-        return resident;
-    }
-    ++cache_hits_;
-    cost::OpCostBreakdown served = resident;
-    markScheduleServed(served);
-    schedule_cache_hits_ += served.schedule_cache_hits;
-    return served;
-}
-
-std::vector<cost::OpCostBreakdown>
-CachingEvaluator::evaluateBatch(const model::ComputeGraph &graph,
-                                const std::vector<EvalRequest> &requests,
-                                common::BudgetGauge *gauge)
-{
-    std::vector<cost::OpCostBreakdown> results(requests.size());
-    if (requests.empty())
-        return results;
-    const std::uint64_t graph_fp = graphFingerprint(graph);
-    const BatchPlan plan(graph_fp, requests, /*dedup=*/true);
-    const std::size_t n_slots = plan.distinct_request.size();
-
-    std::vector<cost::OpCostBreakdown> slot_value(n_slots);
-    std::vector<bool> slot_cached(n_slots, false);
-    std::vector<std::size_t> missing;
-    for (std::size_t s = 0; s < n_slots; ++s) {
-        if (auto cached = cache_.get(plan.distinct_keys[s])) {
-            slot_value[s] = *cached;
-            slot_cached[s] = true;
-        } else {
-            missing.push_back(s);
-        }
-    }
-
-    std::vector<EvalRequest> miss_requests;
-    miss_requests.reserve(missing.size());
-    for (std::size_t s : missing)
-        miss_requests.push_back(requests[plan.distinct_request[s]]);
-    const std::vector<cost::OpCostBreakdown> computed =
-        inner_.evaluateBatch(graph, miss_requests);
-    for (std::size_t m = 0; m < missing.size(); ++m) {
-        slot_value[missing[m]] = computed[m];
-        cache_.insert(plan.distinct_keys[missing[m]], computed[m]);
-    }
-    measurements_ += static_cast<long>(missing.size());
-
-    long sched_lowerings = 0;
-    long sched_hits = 0;
-    cache_hits_ += plan.assemble(slot_value, slot_cached, results,
-                                 sched_lowerings, sched_hits);
-    schedule_lowerings_ += sched_lowerings;
-    schedule_cache_hits_ += sched_hits;
-    if (gauge != nullptr)
-        gauge->exhausted();
-    return results;
-}
-
-EvalStats
-CachingEvaluator::stats() const
-{
-    const EvalStats inner = inner_.stats();
-    return {measurements_.load(),
-            cache_hits_.load(),
-            inner.layouts_built,
-            inner.layout_hits,
-            schedule_lowerings_.load(),
-            schedule_cache_hits_.load(),
-            cache_.stats().evictions + inner.evictions};
 }
 
 }  // namespace temp::eval

@@ -11,11 +11,9 @@
  *  - ExactEvaluator wraps WaferCostModel and memoizes both GroupLayout
  *    construction (per spec) and breakdowns (per op/spec/include_step)
  *    behind hash-keyed caches; evaluateBatch fans the misses out over a
- *    ThreadPool with deterministic result placement.
- *  - CachingEvaluator is a decorator adding the same memo over *any*
- *    backend, so one cache can be shared across solver phases (DP, GA,
- *    final simulation) and future backends (learned cost models, remote
- *    evaluation) plug in under it.
+ *    ThreadPool with deterministic result placement. Each
+ *    TrainingSimulator owns one, so the DP matrix, GA seeding and the
+ *    step simulations share a single layout memo and breakdown memo.
  *  - SurrogateEvaluator (surrogate_evaluator.hpp) measures a sampled
  *    subset through an underlying evaluator and predicts the rest.
  *
@@ -101,9 +99,10 @@ void appendSpecKey(std::string &key, const parallel::ParallelSpec &spec);
 
 /**
  * Thread-safe memo of (graph, spec) -> GroupLayout for one cost model.
- * Shared by the evaluators and the training simulator so a layout is
- * built once per solve instead of once per phase (the GA alone calls
- * the simulator hundreds of times with recurring specs).
+ * An ExactEvaluator owns one and shares it between the matrix fill and
+ * the training simulator, so a layout is built once per fault epoch
+ * instead of once per phase (the GA alone calls the simulator hundreds
+ * of times with recurring specs).
  */
 class LayoutCache
 {
@@ -111,9 +110,10 @@ class LayoutCache
     explicit LayoutCache(const cost::WaferCostModel &model);
 
     /// Returns the (possibly cached) layout of a spec for a graph.
+    /// @p counted false leaves builds() and hits() untouched.
     std::shared_ptr<const parallel::GroupLayout> layoutFor(
         const model::ComputeGraph &graph,
-        const parallel::ParallelSpec &spec);
+        const parallel::ParallelSpec &spec, bool counted = true);
 
     long builds() const { return builds_.load(); }
     long hits() const { return hits_.load(); }
@@ -136,8 +136,6 @@ class LayoutCache
     /// Drops every layout (counters are kept); a fault change moves
     /// where layouts place their groups.
     void clear() { cache_.clear(); }
-
-    const cost::WaferCostModel &costModel() const { return model_; }
 
   private:
     const cost::WaferCostModel &model_;
@@ -184,6 +182,8 @@ class CostEvaluator
 /**
  * The exact backend: WaferCostModel with memoized layouts and
  * breakdowns, parallel batch evaluation over an optional ThreadPool.
+ * The memos bake the wafer's fault state in, so a setFaults() on the
+ * live wafer flushes both.
  */
 class ExactEvaluator : public CostEvaluator
 {
@@ -191,12 +191,15 @@ class ExactEvaluator : public CostEvaluator
     /**
      * @param model The wafer cost model to wrap.
      * @param pool Optional pool for evaluateBatch (nullptr = serial).
-     * @param memoize_breakdowns Disable when an outer CachingEvaluator
-     *        already memoizes, so hits are counted exactly once.
      */
     explicit ExactEvaluator(const cost::WaferCostModel &model,
-                            ThreadPool *pool = nullptr,
-                            bool memoize_breakdowns = true);
+                            ThreadPool *pool = nullptr);
+
+    /// Unregisters the fault-epoch listener (see constructor).
+    ~ExactEvaluator() override;
+
+    ExactEvaluator(const ExactEvaluator &) = delete;
+    ExactEvaluator &operator=(const ExactEvaluator &) = delete;
 
     cost::OpCostBreakdown evaluate(const model::ComputeGraph &graph,
                                    const EvalRequest &request) override;
@@ -208,8 +211,29 @@ class ExactEvaluator : public CostEvaluator
 
     EvalStats stats() const override;
 
+    /**
+     * The training simulator's lookups: the memoized layout of a spec,
+     * and the memoized breakdown of one request, computed on a miss
+     * from the caller's layout and execution. They share the memos
+     * (and budgets) with evaluate()/evaluateBatch() but move no
+     * stats() counter: a step simulation's work is accounted by
+     * StepStats, and counting it here as well would count its schedule
+     * work twice.
+     */
+    std::shared_ptr<const parallel::GroupLayout> stepLayout(
+        const model::ComputeGraph &graph,
+        const parallel::ParallelSpec &spec)
+    {
+        return layouts_.layoutFor(graph, spec, /*counted=*/false);
+    }
+    cost::OpCostBreakdown stepCell(std::uint64_t graph_fp,
+                                   const EvalRequest &request,
+                                   const model::Operator &op,
+                                   const parallel::OpExecution &exec,
+                                   const parallel::GroupLayout &layout);
+
     /// Applies the evaluator-level budgets: breakdown memo
-    /// (max_eval_entries) and layout memo (max_layout_entries).
+    /// (max_eval_entries/bytes) and layout memo (max_layout_*).
     void setCacheBudget(const common::CacheBudget &budget);
 
     /// Governance counters of the breakdown memo.
@@ -217,60 +241,6 @@ class ExactEvaluator : public CostEvaluator
     {
         return cache_.stats();
     }
-
-    LayoutCache &layoutCache() { return layouts_; }
-    const LayoutCache &layoutCache() const { return layouts_; }
-    const cost::WaferCostModel &costModel() const { return model_; }
-
-  private:
-    /// Computes one breakdown (no breakdown-memo interaction).
-    cost::OpCostBreakdown compute(const model::ComputeGraph &graph,
-                                  const EvalRequest &request);
-
-    const cost::WaferCostModel &model_;
-    ThreadPool *pool_;
-    bool memoize_;
-    LayoutCache layouts_;
-    common::BoundedCache<std::string, cost::OpCostBreakdown> cache_;
-    std::atomic<long> measurements_{0};
-    std::atomic<long> cache_hits_{0};
-    std::atomic<long> schedule_lowerings_{0};
-    std::atomic<long> schedule_cache_hits_{0};
-};
-
-/**
- * Memoizing decorator over any backend. The framework shares one
- * instance across all solver phases so the DP matrix, GA fitness
- * costing and the final simulation never re-measure a cell.
- */
-class CachingEvaluator : public CostEvaluator
-{
-  public:
-    explicit CachingEvaluator(CostEvaluator &inner);
-
-    cost::OpCostBreakdown evaluate(const model::ComputeGraph &graph,
-                                   const EvalRequest &request) override;
-
-    std::vector<cost::OpCostBreakdown> evaluateBatch(
-        const model::ComputeGraph &graph,
-        const std::vector<EvalRequest> &requests,
-        common::BudgetGauge *gauge = nullptr) override;
-
-    /// Own hit/measure counters plus the inner backend's layout
-    /// counters.
-    EvalStats stats() const override;
-
-    /// Entry budget of the shared breakdown memo (0 = unbounded).
-    void setMaxEntries(long max_entries)
-    {
-        cache_.setCapacity(max_entries);
-    }
-
-    /// Byte budget of the shared breakdown memo (0 = unbounded).
-    void setMaxBytes(long max_bytes) { cache_.setMaxBytes(max_bytes); }
-
-    /// Governance counters of the shared breakdown memo.
-    common::CacheStats cacheStats() const { return cache_.stats(); }
 
     /// Visits every resident (key, breakdown) pair — the persist
     /// layer's export hook. Keys are evalKey() content keys, so the
@@ -293,16 +263,23 @@ class CachingEvaluator : public CostEvaluator
         cache_.insert(key, breakdown);
     }
 
-    CostEvaluator &inner() { return inner_; }
-    const CostEvaluator &inner() const { return inner_; }
+    const LayoutCache &layoutCache() const { return layouts_; }
 
   private:
-    CostEvaluator &inner_;
+    /// Counts one memo-served breakdown and returns its served copy.
+    cost::OpCostBreakdown serve(const cost::OpCostBreakdown &cached);
+
+    const cost::WaferCostModel &model_;
+    ThreadPool *pool_;
+    LayoutCache layouts_;
     common::BoundedCache<std::string, cost::OpCostBreakdown> cache_;
     std::atomic<long> measurements_{0};
     std::atomic<long> cache_hits_{0};
     std::atomic<long> schedule_lowerings_{0};
     std::atomic<long> schedule_cache_hits_{0};
+    /// Registration id of the wafer epoch listener that flushes both
+    /// memos on setFaults().
+    std::uint64_t epoch_listener_id_ = 0;
 };
 
 /**

@@ -181,14 +181,11 @@ StepEvaluator::evaluateBatch(
 StepStats
 StepEvaluator::stats() const
 {
-    // Evictions cover the layers a step query touches: the report
-    // memo plus the simulator's own layout cache and cell memo (the
-    // matrix side's layout cache is counted by EvalStats, not here).
+    // Only the report memo's evictions: the layouts and cells a step
+    // query reads live in the simulator's evaluator, whose evictions
+    // EvalStats already counts.
     return {sims_.load(), cache_hits_.load(), schedule_lowerings_.load(),
-            schedule_cache_hits_.load(),
-            cache_.stats().evictions +
-                sim_.layoutCache().cacheStats().evictions +
-                sim_.cellCacheStats().evictions};
+            schedule_cache_hits_.load(), cache_.stats().evictions};
 }
 
 }  // namespace temp::eval

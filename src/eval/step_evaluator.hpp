@@ -50,10 +50,10 @@ struct StepStats
      */
     long schedule_lowerings = 0;
     long schedule_cache_hits = 0;
-    /// Entries dropped to honour a budget across the layers a step
-    /// query touches: the report memo plus the simulator's layout
-    /// cache (0 under the default unbounded budgets; evicted genomes
-    /// re-simulate and recount as sims on return).
+    /// Entries the report memo dropped to honour a budget (0 under
+    /// the default unbounded budgets; evicted genomes re-simulate and
+    /// recount as sims on return). The layouts and cells a simulation
+    /// reads are the simulator's evaluator's, counted by EvalStats.
     long evictions = 0;
 
     StepStats operator-(const StepStats &other) const

@@ -47,13 +47,6 @@ CommSchedule::finalize()
     soa_valid_ = true;
 }
 
-void
-CommSchedule::overlay(const CommSchedule &other)
-{
-    const CommSchedule *pair[] = {this, &other};
-    *this = combine(pair);
-}
-
 CommSchedule
 CommSchedule::combine(std::span<const CommSchedule *const> schedules)
 {

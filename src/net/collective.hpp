@@ -76,7 +76,7 @@ struct FlowSoa
  * Ordered rounds of concurrent flows realising one or more collectives.
  *
  * Flows live in one contiguous arena; rounds are offset spans into it.
- * This keeps lowering, overlay combination and sequence evaluation free
+ * This keeps lowering, phase combination and sequence evaluation free
  * of per-round vector allocations (the former vector<vector<Flow>>
  * shape), which matters because schedules are built and walked millions
  * of times across a DP matrix fill.
@@ -204,12 +204,9 @@ class CommSchedule
     const std::vector<Flow> &flows() const { return flows_; }
     std::size_t flowCount() const { return flows_.size(); }
 
-    /// Merges another schedule round-by-round (concurrent execution).
-    void overlay(const CommSchedule &other);
-
     /**
-     * Round-by-round merge of many schedules in one pass (one arena
-     * allocation total instead of one rebuild per overlay).
+     * Round-by-round merge of many schedules (concurrent execution) in
+     * one pass: one arena allocation in total.
      */
     static CommSchedule combine(
         std::span<const CommSchedule *const> schedules);

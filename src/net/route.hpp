@@ -42,7 +42,7 @@ struct Route
  * A shared handle to an immutable, pooled Route.
  *
  * Flows reference routes through this instead of owning a Route copy,
- * so copying a flow (schedule-cache reuse, overlay combination) costs a
+ * so copying a flow (schedule-cache reuse, phase combination) costs a
  * reference count instead of a LinkId-vector allocation. A
  * default-constructed ref reads as an empty route (no links), the state
  * of an infeasible transfer.

@@ -58,7 +58,9 @@ inline constexpr std::uint32_t kFormatVersion = 2;
 struct MemoBlock
 {
     std::string framework_key;
-    /// CachingEvaluator memo: evalKey -> breakdown, by value.
+    /// The simulator's evaluator memo: evalKey -> breakdown, by value.
+    /// Matrix cells and the step simulations' cells (include_step
+    /// false) share this one key space; the format is unchanged.
     std::vector<std::pair<std::string, cost::OpCostBreakdown>> breakdowns;
     /// StepEvaluator memo: stepKey -> report, by value.
     std::vector<std::pair<std::string, sim::PerfReport>> step_reports;

@@ -15,31 +15,17 @@ using parallel::ParallelSpec;
 
 TrainingSimulator::TrainingSimulator(const hw::Wafer &wafer,
                                      tcme::MappingPolicy policy,
-                                     parallel::TrainingOptions options)
+                                     parallel::TrainingOptions options,
+                                     ThreadPool *pool)
     : wafer_(wafer), cost_model_(wafer, policy, options),
-      layout_cache_(cost_model_)
+      evaluator_(cost_model_, pool)
 {
-    // Layouts place groups around the faults and cells bake the
-    // fault state in, so a setFaults() on the live wafer drops both
-    // (the cost model flushes its own network caches the same way).
-    epoch_listener_id_ = wafer_.addEpochListener([this](std::uint64_t) {
-        layout_cache_.clear();
-        cells_.clear();
-    });
-}
-
-TrainingSimulator::~TrainingSimulator()
-{
-    wafer_.removeEpochListener(epoch_listener_id_);
 }
 
 void
 TrainingSimulator::setCacheBudget(const common::CacheBudget &budget)
 {
-    layout_cache_.setMaxEntries(budget.max_layout_entries);
-    layout_cache_.setMaxBytes(budget.max_layout_bytes);
-    cells_.setCapacity(budget.max_eval_entries);
-    cells_.setMaxBytes(budget.max_eval_bytes);
+    evaluator_.setCacheBudget(budget);
     cost_model_.setCacheBudgets(budget);
 }
 
@@ -195,34 +181,23 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
     report.recompute = recompute;
 
     // Layouts are shared between ops with identical specs and, via the
-    // simulator's persistent content-keyed cache, across simulate()
-    // calls (the GA fitness loop re-simulates recurring specs). The
-    // shared_ptrs are pinned for the whole simulation: under a finite
-    // layout budget the cache may evict an entry while this pass still
-    // uses it, so borrowing a bare reference out of the lookup would
-    // dangle.
+    // evaluator's persistent content-keyed cache, across simulate()
+    // calls and with the matrix fill. The shared_ptrs are pinned for
+    // the whole simulation: under a finite layout budget the cache may
+    // evict an entry while this pass still uses it, so borrowing a
+    // bare reference out of the lookup would dangle.
     std::vector<std::shared_ptr<const GroupLayout>> pinned_layouts;
     auto layout_for = [&](const ParallelSpec &spec) -> const GroupLayout & {
-        pinned_layouts.push_back(layout_cache_.layoutFor(graph, spec));
+        pinned_layouts.push_back(evaluator_.stepLayout(graph, spec));
         return *pinned_layouts.back();
     };
 
     // ---- One representative layer -------------------------------------
-    double layer_wall = 0.0;      // fwd+bwd wall time of all ops
-    double layer_comp = 0.0;
-    double layer_coll = 0.0;      // blocking collectives
-    double layer_stream = 0.0;
-    double layer_exposed = 0.0;   // op-level exposed communication
-    double layer_tail = 0.0;
     double layer_reshard = 0.0;
-    double layer_flops = 0.0;
-    double layer_dram = 0.0;
-    double layer_d2d = 0.0;
 
     mem::MemoryFootprint static_mem;  // weights/grads/optimizer/buffers
     double act_per_layer = 0.0;       // activations stored per layer
     std::vector<net::CollectiveTask> step_tasks;
-    double util_acc = 0.0, util_weight = 0.0;
 
     // Breakdown cells are collected and reduced in one batched pass
     // after the loop (cost::reduceBreakdowns — bit-identical to the
@@ -245,17 +220,9 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
         const GroupLayout &layout = layout_for(spec);
         const OpExecution exec =
             cost_model_.partitioner().analyze(op, layout);
-        const std::string key = eval::evalKey(
-            graph_fp, eval::EvalRequest{i, spec, /*include_step=*/false});
-        cost::OpCostBreakdown c;
-        if (auto cached = cells_.get(key)) {
-            c = *cached;
-            eval::markScheduleServed(c);
-        } else {
-            c = cost_model_.opCost(exec, op, layout,
-                                   /*include_step=*/false);
-            cells_.insert(key, c);
-        }
+        const cost::OpCostBreakdown c = evaluator_.stepCell(
+            graph_fp, eval::EvalRequest{i, spec, /*include_step=*/false},
+            op, exec, layout);
         report.schedule_lowerings += c.schedule_lowerings;
         report.schedule_cache_hits += c.schedule_cache_hits;
         if (!c.feasible) {
@@ -288,18 +255,9 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
         }
     }
 
-    const cost::BreakdownSums sums = cost::reduceBreakdowns(cells);
-    layer_wall = sums.wall;
-    layer_comp = sums.comp;
-    layer_coll = sums.collective;
-    layer_stream = sums.stream;
-    layer_exposed = sums.exposed;
-    layer_tail = sums.tail;
-    layer_flops = sums.flops;
-    layer_dram = sums.dram;
-    layer_d2d = sums.d2d;
-    util_acc = sums.util_acc;
-    util_weight = sums.util_weight;
+    // The layer's per-field sums; checkpointing and the merged
+    // gradient sync below add to them.
+    cost::BreakdownSums layer = cost::reduceBreakdowns(cells);
 
     if (recompute) {
         // Activation checkpointing: store only the layer-boundary
@@ -309,10 +267,10 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
         const OpExecution first =
             cost_model_.partitioner().analyze(graph.op(0), first_layout);
         act_per_layer = first.activation_bytes;
-        const double extra = layer_comp / 3.0;  // one extra forward
-        layer_wall += extra;
-        layer_comp += extra;
-        layer_flops += layer_flops / 3.0;
+        const double extra = layer.comp / 3.0;  // one extra forward
+        layer.wall += extra;
+        layer.comp += extra;
+        layer.flops += layer.flops / 3.0;
     }
 
     // Merged gradient synchronisation: all the layer's grad-sync
@@ -332,24 +290,25 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
         step_timing.time_s *
         (1.0 - cost::WaferCostModel::kGradSyncOverlap);
     if (step_timing.total_bytes > 0.0 && step_link_bytes > 0.0) {
-        util_acc += step_timing.bandwidth_utilization * step_link_bytes;
-        util_weight += step_link_bytes;
+        layer.util_acc +=
+            step_timing.bandwidth_utilization * step_link_bytes;
+        layer.util_weight += step_link_bytes;
     }
 
     // ---- Scale the layer to the model (Eq. 4) --------------------------
     const double layers = graph.layerCount();
     report.step_time =
-        (layer_wall + layer_reshard + step_exposed) * layers;
-    report.comp_time = layer_comp * layers;
-    report.collective_time = (layer_coll + step_timing.time_s) * layers;
-    report.stream_comm_time = layer_stream * layers;
-    report.exposed_comm = (layer_exposed + step_exposed) * layers;
-    report.tail_latency = layer_tail * layers;
+        (layer.wall + layer_reshard + step_exposed) * layers;
+    report.comp_time = layer.comp * layers;
+    report.collective_time = (layer.collective + step_timing.time_s) * layers;
+    report.stream_comm_time = layer.stream * layers;
+    report.exposed_comm = (layer.exposed + step_exposed) * layers;
+    report.tail_latency = layer.tail * layers;
     report.reshard_time = layer_reshard * layers;
     report.grad_sync_time = step_exposed * layers;
     report.grad_sync_collective_time = step_timing.time_s * layers;
     report.grad_sync_link_bytes = step_link_bytes * layers;
-    report.total_flops = layer_flops * layers;
+    report.total_flops = layer.flops * layers;
 
     // ---- Memory ---------------------------------------------------------
     const double capacity = wafer_.config().hbm.capacity_bytes;
@@ -365,15 +324,15 @@ TrainingSimulator::simulateMicro(const model::ComputeGraph &graph,
 
     // ---- Energy and derived metrics --------------------------------------
     report.energy = cost_model_.powerModel().stepEnergy(
-        report.total_flops, layer_dram * layers,
-        (layer_d2d + step_link_bytes) * layers, report.step_time,
+        report.total_flops, layer.dram * layers,
+        (layer.d2d + step_link_bytes) * layers, report.step_time,
         wafer_.dieCount());
     report.avg_power_w = cost_model_.powerModel().averagePower(
         report.energy, report.step_time);
     report.power_efficiency = cost_model_.powerModel().powerEfficiency(
         report.total_flops, report.energy);
     report.bw_utilization =
-        util_weight > 0.0 ? util_acc / util_weight : 0.0;
+        layer.util_weight > 0.0 ? layer.util_acc / layer.util_weight : 0.0;
 
     const double tokens = static_cast<double>(graph.config().batch) *
                           graph.config().seq;

@@ -20,12 +20,14 @@ namespace temp::sim {
 class TrainingSimulator
 {
   public:
+    /**
+     * @param pool Optional pool for the owned evaluator's
+     *        evaluateBatch (the matrix fill); simulate() never uses it.
+     */
     TrainingSimulator(const hw::Wafer &wafer, tcme::MappingPolicy policy,
                       parallel::TrainingOptions options =
-                          parallel::TrainingOptions());
-
-    /// Unregisters the fault-epoch listener (see constructor).
-    ~TrainingSimulator();
+                          parallel::TrainingOptions(),
+                      ThreadPool *pool = nullptr);
 
     TrainingSimulator(const TrainingSimulator &) = delete;
     TrainingSimulator &operator=(const TrainingSimulator &) = delete;
@@ -56,25 +58,22 @@ class TrainingSimulator
     const hw::Wafer &wafer() const { return wafer_; }
 
     /**
-     * The simulator's persistent layout memo. Layouts are content-keyed
-     * on (graph, spec), so repeated simulations — the GA fitness loop
-     * alone issues hundreds with recurring specs — build each layout
-     * once across calls instead of once per call. Thread-safe, which
-     * also makes concurrent simulate() calls safe (the cell memo is
-     * thread-safe too; the rest of the simulator is stateless).
+     * The simulator's evaluator: the one layout memo and breakdown
+     * memo over its cost model. The matrix fill goes through it, and
+     * simulate() reads its layouts and include_step=false cells from
+     * it, so a layout is built once per fault epoch whichever phase
+     * needs it first, and successive candidate plans cost each shared
+     * (op, spec) cell once. Thread-safe, which also makes concurrent
+     * simulate() calls safe (the rest of the simulator is stateless).
      */
-    const eval::LayoutCache &layoutCache() const { return layout_cache_; }
+    eval::ExactEvaluator &evaluator() const { return evaluator_; }
 
     /**
      * Applies the memo budgets this simulator is subject to: the
-     * layout cache (eval.cache.max_layouts / max_layout_bytes), the
-     * cell memo (eval.cache.max_entries / max_bytes, the budget of the
-     * matrix cells it mirrors) and the cost model's network caches.
+     * evaluator's breakdown and layout memos (eval.cache.*) and the
+     * cost model's network caches.
      */
     void setCacheBudget(const common::CacheBudget &budget);
-
-    /// Governance counters of the per-op cell memo (see simulateMicro).
-    common::CacheStats cellCacheStats() const { return cells_.stats(); }
 
   private:
     /// Simulates one microbatch pass (no accumulation logic).
@@ -91,19 +90,7 @@ class TrainingSimulator
 
     const hw::Wafer &wafer_;
     cost::WaferCostModel cost_model_;
-    mutable eval::LayoutCache layout_cache_;
-    /**
-     * Per-op cells of simulateMicro: opCost(exec, op, layout,
-     * include_step=false) keyed by eval::evalKey. A step simulation
-     * re-costs every op, and successive candidate plans share most of
-     * their (op, spec) cells, so each cell is costed once per fault
-     * epoch. Thread-safe (StepEvaluator batches simulate concurrently).
-     */
-    mutable common::BoundedCache<std::string, cost::OpCostBreakdown>
-        cells_;
-    /// Registration id of the wafer epoch listener that flushes the
-    /// layout cache and the cell memo on setFaults().
-    std::uint64_t epoch_listener_id_ = 0;
+    mutable eval::ExactEvaluator evaluator_;
 };
 
 }  // namespace temp::sim

@@ -23,21 +23,11 @@ DlsSolver::DlsSolver(const sim::TrainingSimulator &simulator,
     : sim_(simulator), config_(config),
       engine_(makeSearchEngine(config_))
 {
-    if (evaluator == nullptr || steps == nullptr)
-        owned_pool_ = std::make_unique<ThreadPool>(config_.eval_threads);
-    if (evaluator != nullptr) {
-        eval_ = evaluator;
-    } else {
-        owned_exact_ = std::make_unique<eval::ExactEvaluator>(
-            sim_.costModel(), owned_pool_.get(),
-            /*memoize_breakdowns=*/false);
-        owned_eval_ =
-            std::make_unique<eval::CachingEvaluator>(*owned_exact_);
-        eval_ = owned_eval_.get();
-    }
+    eval_ = evaluator != nullptr ? evaluator : &sim_.evaluator();
     if (steps != nullptr) {
         steps_ = steps;
     } else {
+        owned_pool_ = std::make_unique<ThreadPool>(config_.eval_threads);
         owned_steps_ = std::make_unique<eval::StepEvaluator>(
             sim_, owned_pool_.get());
         steps_ = owned_steps_.get();

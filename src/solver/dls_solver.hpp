@@ -52,10 +52,11 @@ struct SolverConfig
     bool use_surrogate = false;
     double surrogate_sample_fraction = 0.3;
     /**
-     * Threads for the evaluator's batch matrix fill when the solver
-     * owns its evaluator (an injected evaluator brings its own pool).
-     * 0 means hardware concurrency. Results are bit-exact across
-     * thread counts.
+     * Threads for the step evaluator's batches when the solver owns
+     * its step evaluator (an injected one brings its own pool; the
+     * default matrix fill runs on the pool the simulator was built
+     * with). 0 means hardware concurrency. Results are bit-exact
+     * across thread counts.
      */
     int eval_threads = 0;
     /**
@@ -186,9 +187,9 @@ class DlsSolver
      * @param simulator Full-step simulator (refiner fitness, final
      *        report).
      * @param config Search tuning.
-     * @param evaluator Optional shared evaluation backend; when null
-     *        the solver owns a caching exact evaluator over the
-     *        simulator's cost model (config.eval_threads wide).
+     * @param evaluator Optional evaluation backend; when null the
+     *        solver fills the matrix through simulator.evaluator(), so
+     *        every default solver on one simulator shares its memo.
      * @param steps Optional shared full-step evaluator (uniform
      *        seeding, refiner fitness, final report); when null the
      *        solver owns one over `simulator` (config.eval_threads
@@ -246,10 +247,8 @@ class DlsSolver
 
     const sim::TrainingSimulator &sim_;
     SolverConfig config_;
-    /// Owned backends when none are injected.
+    /// Owned step backend when none is injected.
     std::unique_ptr<ThreadPool> owned_pool_;
-    std::unique_ptr<eval::ExactEvaluator> owned_exact_;
-    std::unique_ptr<eval::CachingEvaluator> owned_eval_;
     std::unique_ptr<eval::StepEvaluator> owned_steps_;
     eval::CostEvaluator *eval_ = nullptr;
     eval::StepEvaluator *steps_ = nullptr;

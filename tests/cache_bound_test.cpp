@@ -243,16 +243,13 @@ TEST(CacheBound, BudgetTwoSolveIsBitIdenticalToUnbounded)
     EXPECT_EQ(unbounded_repeat.matrix_measurements, 0);
     EXPECT_EQ(unbounded_repeat.step_sims, 0);
 
-    // Every layer honours its budget ("layouts" aggregates the two
-    // layout caches — simulator + exact evaluator — so its bound is
-    // twice the per-cache budget).
+    // Every layer honours its budget (one layout cache and one
+    // breakdown memo per simulator, each bounded once).
     for (const auto &[layer, stats] : bounded.cacheStats()) {
         if (layer == "eval_breakdowns" || layer == "step_reports" ||
-            layer == "schedules" || layer == "schedule_phases" ||
-            layer == "tatp_streams" || layer == "sim_cells")
+            layer == "layouts" || layer == "schedules" ||
+            layer == "schedule_phases" || layer == "tatp_streams")
             EXPECT_LE(stats.entries, 2) << layer;
-        else if (layer == "layouts")
-            EXPECT_LE(stats.entries, 4) << layer;
         EXPECT_GE(stats.entries, 0) << layer;
         // The solve times more than two distinct TATP streams.
         if (layer == "tatp_streams") {
@@ -285,16 +282,13 @@ TEST(CacheBound, ByteBudgetedSolveIsBitIdenticalAndVisible)
     EXPECT_DOUBLE_EQ(result.step_time_s, expected.step_time_s);
     EXPECT_GT(result.cache_evictions, 0);
 
-    // The gauges respect the budgets they were given ("layouts"
-    // aggregates two caches, so its bound is twice the per-cache
-    // budget; the route pool is unbudgeted here).
+    // The gauges respect the budgets they were given (the route pool
+    // is unbudgeted here).
     for (const auto &[layer, stats] : bounded.cacheStats()) {
-        if (layer == "eval_breakdowns" || layer == "sim_cells")
+        if (layer == "eval_breakdowns" || layer == "layouts")
             EXPECT_LE(stats.bytes_est, 64 << 10) << layer;
         else if (layer == "step_reports")
             EXPECT_LE(stats.bytes_est, 8 << 10) << layer;
-        else if (layer == "layouts")
-            EXPECT_LE(stats.bytes_est, 2 * (64 << 10)) << layer;
         else if (layer == "schedules" || layer == "schedule_phases" ||
                  layer == "tatp_streams")
             EXPECT_LE(stats.bytes_est, 32 << 10) << layer;
@@ -323,13 +317,11 @@ TEST(CacheBound, ServiceBudgetsHoldAfterEveryRequestAndEvictLru)
                 EXPECT_LE(layer.stats.entries, 1);
             else if (layer.layer == "eval_breakdowns" ||
                      layer.layer == "step_reports" ||
+                     layer.layer == "layouts" ||
                      layer.layer == "schedules" ||
                      layer.layer == "schedule_phases" ||
-                     layer.layer == "tatp_streams" ||
-                     layer.layer == "sim_cells")
+                     layer.layer == "tatp_streams")
                 EXPECT_LE(layer.stats.entries, 2) << layer.layer;
-            else if (layer.layer == "layouts")
-                EXPECT_LE(layer.stats.entries, 4) << layer.layer;
         }
     };
 
@@ -367,7 +359,7 @@ TEST(CacheBound, ServiceBudgetsHoldAfterEveryRequestAndEvictLru)
     for (const char *layer :
          {"service_frameworks", "service_pods", "eval_breakdowns",
           "step_reports", "layouts", "schedules", "schedule_phases",
-          "tatp_streams", "routes", "sim_cells"})
+          "tatp_streams", "routes"})
         EXPECT_NE(json.find(layer), std::string::npos) << layer;
     EXPECT_NE(json.find("\"evictions\":"), std::string::npos);
 }

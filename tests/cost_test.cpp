@@ -276,9 +276,9 @@ TEST(StreamMemo, ReusedModelsCostEveryCellLikeAFreshModel)
         WaferCostModel bounded(*wafer, policy);
         bounded.setCacheBudgets(one_entry);
         WaferCostModel shared(*wafer, policy);
-        eval::ExactEvaluator serial_eval(reused, nullptr, false);
-        eval::ExactEvaluator bounded_eval(bounded, nullptr, false);
-        eval::ExactEvaluator wide_eval(shared, &wide_pool, false);
+        eval::ExactEvaluator serial_eval(reused);
+        eval::ExactEvaluator bounded_eval(bounded);
+        eval::ExactEvaluator wide_eval(shared, &wide_pool);
         for (const char *name : {"GPT-3 6.7B", "Llama3 70B"}) {
             const model::ModelConfig config = model::modelByName(name);
             const model::ComputeGraph graph =

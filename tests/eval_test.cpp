@@ -118,8 +118,7 @@ TEST_F(EvalTest, CachedBreakdownEqualsRecomputedBitExact)
 {
     ASSERT_FALSE(candidates_.empty());
     ExactEvaluator cached(sim_.costModel());
-    ExactEvaluator fresh(sim_.costModel(), nullptr,
-                         /*memoize_breakdowns=*/false);
+    ExactEvaluator fresh(sim_.costModel());
     const EvalRequest request{3, candidates_[candidates_.size() / 2],
                               true};
     const cost::OpCostBreakdown first = cached.evaluate(graph_, request);
@@ -164,23 +163,21 @@ TEST_F(EvalTest, BatchMatchesSingleEvaluate)
 
 TEST_F(EvalTest, StatsCountUniqueMeasurementsOnceAndHitsSeparately)
 {
-    ExactEvaluator exact(sim_.costModel(), nullptr,
-                         /*memoize_breakdowns=*/false);
-    CachingEvaluator caching(exact);
+    ExactEvaluator evaluator(sim_.costModel());
     const std::vector<EvalRequest> requests = fullMatrix();
     const long n = static_cast<long>(requests.size());
 
-    caching.evaluateBatch(graph_, requests);
-    EXPECT_EQ(caching.stats().measurements, n);
-    EXPECT_EQ(caching.stats().cache_hits, 0);
+    evaluator.evaluateBatch(graph_, requests);
+    EXPECT_EQ(evaluator.stats().measurements, n);
+    EXPECT_EQ(evaluator.stats().cache_hits, 0);
 
     // A second identical batch is served entirely from the memo.
-    caching.evaluateBatch(graph_, requests);
-    EXPECT_EQ(caching.stats().measurements, n);
-    EXPECT_EQ(caching.stats().cache_hits, n);
+    evaluator.evaluateBatch(graph_, requests);
+    EXPECT_EQ(evaluator.stats().measurements, n);
+    EXPECT_EQ(evaluator.stats().cache_hits, n);
 
     // Layouts were built once per candidate, not once per cell.
-    EXPECT_EQ(caching.stats().layouts_built,
+    EXPECT_EQ(evaluator.stats().layouts_built,
               static_cast<long>(candidates_.size()));
 }
 
@@ -197,19 +194,75 @@ TEST_F(EvalTest, DuplicateRequestsWithinOneBatchMeasureOnce)
     EXPECT_EQ(evaluator.stats().cache_hits, 4);
 }
 
-TEST_F(EvalTest, NonMemoizingBatchNeverFabricatesHits)
+TEST_F(EvalTest, FaultChangeFlushesLayoutsAndBreakdowns)
 {
-    // Without a memo there is nothing to serve duplicates from, so the
-    // hit counter must stay zero and every request is a measurement.
-    ExactEvaluator evaluator(sim_.costModel(), nullptr,
-                             /*memoize_breakdowns=*/false);
-    std::vector<EvalRequest> requests(3,
-                                      EvalRequest{0, candidates_[0], true});
-    const auto results = evaluator.evaluateBatch(graph_, requests);
-    expectBitExact(results[0], results[1]);
-    expectBitExact(results[0], results[2]);
+    // Regression: an evaluator over a live wafer kept its layouts and
+    // breakdowns across setFaults(), so the next cell placed work on a
+    // dead die and aborted in ComputeModel::opTime.
+    hw::Wafer wafer(hw::WaferConfig::paperDefault());
+    const tcme::MappingPolicy policy{tcme::MappingEngineKind::TCME};
+    cost::WaferCostModel model(wafer, policy);
+    ExactEvaluator evaluator(model);
+    ParallelSpec spec;
+    spec.dp = 2;
+    spec.tp = 4;
+    spec.tatp = 2;
+    ASSERT_TRUE(evaluator.evaluate(graph_, {0, spec, true}).feasible);
+    EXPECT_GT(evaluator.breakdownCacheStats().entries, 0);
+
+    hw::FaultMap faults(wafer.dieCount(), wafer.topology().linkCount());
+    faults.setCoreFaultFraction(0, 1.0);
+    faults.setCoreFaultFraction(9, 1.0);
+    for (hw::LinkId link = 0; link < 12; ++link)
+        faults.failLink(link);
+    wafer.setFaults(faults);
+    EXPECT_EQ(evaluator.breakdownCacheStats().entries, 0);
+    EXPECT_EQ(evaluator.layoutCache().cacheStats().entries, 0);
+
+    cost::WaferCostModel fresh_model(wafer, policy);
+    ExactEvaluator fresh(fresh_model);
+    for (int op = 0; op < 2; ++op) {
+        const EvalRequest request{op, spec, true};
+        expectBitExact(evaluator.evaluate(graph_, request),
+                       fresh.evaluate(graph_, request));
+    }
     EXPECT_EQ(evaluator.stats().measurements, 3);
-    EXPECT_EQ(evaluator.stats().cache_hits, 0);
+}
+
+TEST_F(EvalTest, MatrixFillAndSimulatorShareOneLayout)
+{
+    // A spec whose uniform plan fits without gradient accumulation, so
+    // its simulation reads only full-graph layouts (picked on a
+    // separate simulator, which leaves sim_'s caches untouched).
+    sim::TrainingSimulator probe(
+        wafer_, tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
+    const ParallelSpec *fitting = nullptr;
+    for (const ParallelSpec &spec : candidates_) {
+        const sim::PerfReport report = probe.simulate(graph_, spec);
+        if (report.feasible && !report.oom && report.grad_accum == 1) {
+            fitting = &spec;
+            break;
+        }
+    }
+    ASSERT_NE(fitting, nullptr);
+
+    sim_.evaluator().evaluateBatch(graph_, fullMatrix());
+    const common::CacheStats filled =
+        sim_.evaluator().layoutCache().cacheStats();
+    const EvalStats before = sim_.evaluator().stats();
+    ASSERT_TRUE(sim_.simulate(graph_, *fitting).feasible);
+    const common::CacheStats simulated =
+        sim_.evaluator().layoutCache().cacheStats();
+    EXPECT_EQ(simulated.misses, filled.misses);
+    EXPECT_GT(simulated.hits, filled.hits);
+    // The simulator's lookups move no matrix counter.
+    const EvalStats after = sim_.evaluator().stats();
+    EXPECT_EQ(after.measurements, before.measurements);
+    EXPECT_EQ(after.cache_hits, before.cache_hits);
+    EXPECT_EQ(after.layouts_built, before.layouts_built);
+    EXPECT_EQ(after.layout_hits, before.layout_hits);
+    EXPECT_EQ(after.schedule_lowerings, before.schedule_lowerings);
+    EXPECT_EQ(after.schedule_cache_hits, before.schedule_cache_hits);
 }
 
 TEST_F(EvalTest, DistinctGraphsDoNotCollideInTheCache)
@@ -448,9 +501,7 @@ TEST_F(EvalTest, SolverIdenticalWithOwnedAndSharedEvaluator)
     const solver::SolverResult a = owned.solve(graph_);
 
     ThreadPool pool(2);
-    ExactEvaluator exact(sim_.costModel(), &pool,
-                         /*memoize_breakdowns=*/false);
-    CachingEvaluator shared(exact);
+    ExactEvaluator shared(sim_.costModel(), &pool);
     solver::DlsSolver injected(sim_, solver::SolverConfig{}, &shared);
     const solver::SolverResult b = injected.solve(graph_);
 

@@ -208,19 +208,27 @@ TEST(BreakdownReduce, SumsAndTotalsMatchScalar)
     std::mt19937_64 rng(17);
     for (const int n : {0, 1, 3, 64, 1000, 4096}) {
         const std::vector<cost::OpCostBreakdown> cells = randomCells(n, rng);
-        const cost::BreakdownSums s = cost::reduceBreakdownsScalar(cells);
-        const cost::BreakdownSums v = cost::reduceBreakdownsSimd(cells);
-        // BreakdownSums is all-double, memcmp-safe.
-        EXPECT_EQ(std::memcmp(&s, &v, sizeof s), 0);
-
-        std::vector<double> ta(n), tb(n);
-        cost::breakdownTotalsScalar(cells, ta.data());
-        cost::breakdownTotalsSimd(cells, tb.data());
-        for (int i = 0; i < n; ++i) {
-            EXPECT_TRUE(bitEqual(ta[i], tb[i]));
-            EXPECT_TRUE(bitEqual(
-                ta[i], cells[i].feasible ? cells[i].total() : kInf));
+        // In-order reference sums of two of the chains: the wall sum
+        // (one addition per cell on a pre-added pair) and the
+        // conditional utilization pair.
+        double wall = 0.0, util_acc = 0.0, util_weight = 0.0;
+        for (const cost::OpCostBreakdown &c : cells) {
+            wall += c.fwd_time + c.bwd_time;
+            if (c.bw_utilization > 0.0 && c.d2d_link_bytes > 0.0) {
+                util_acc += c.bw_utilization * c.d2d_link_bytes;
+                util_weight += c.d2d_link_bytes;
+            }
         }
+        const cost::BreakdownSums s = cost::reduceBreakdowns(cells);
+        EXPECT_TRUE(bitEqual(s.wall, wall));
+        EXPECT_TRUE(bitEqual(s.util_acc, util_acc));
+        EXPECT_TRUE(bitEqual(s.util_weight, util_weight));
+
+        std::vector<double> totals(n);
+        cost::breakdownTotals(cells, totals.data());
+        for (int i = 0; i < n; ++i)
+            EXPECT_TRUE(bitEqual(
+                totals[i], cells[i].feasible ? cells[i].total() : kInf));
     }
 }
 

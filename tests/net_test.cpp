@@ -383,19 +383,6 @@ TEST(Collective, LowerBoundFormulas)
         0.0);
 }
 
-TEST(CommSchedule, OverlayMergesRounds)
-{
-    MeshTopology mesh(1, 4);
-    Router router(mesh);
-    CollectiveScheduler sched(router);
-    CommSchedule a = sched.p2p(0, 1, 1e6);
-    const CommSchedule b = sched.p2p(2, 3, 1e6);
-    a.overlay(b);
-    ASSERT_EQ(a.roundCount(), 1);
-    EXPECT_EQ(a.round(0).size(), 2u);
-    EXPECT_DOUBLE_EQ(a.payload_bytes, 2e6);
-}
-
 TEST(CommSchedule, LinkBytesCountsHops)
 {
     MeshTopology mesh(1, 4);

@@ -207,7 +207,8 @@ TEST_F(TrainerSimTest, CellMemoServesBitIdenticalReports)
     const auto plans = candidatePlans(graph);
 
     // A fresh simulator per plan costs every cell; the shared one
-    // serves repeats (within and across plans) from its cell memo.
+    // serves repeats (within and across plans) from its evaluator's
+    // breakdown memo.
     TrainingSimulator bounded(
         wafer_, tcme::MappingPolicy{tcme::MappingEngineKind::TCME});
     common::CacheBudget one_cell;
@@ -224,18 +225,21 @@ TEST_F(TrainerSimTest, CellMemoServesBitIdenticalReports)
             expectSameReport(bounded.simulate(graph, plan), expected);
         }
     }
-    const common::CacheStats cells = sim_.cellCacheStats();
+    const common::CacheStats cells =
+        sim_.evaluator().breakdownCacheStats();
     EXPECT_GT(cells.hits, cells.misses);
     EXPECT_EQ(cells.evictions, 0);
     // The 1-entry budget holds, and its pressure is visible.
-    EXPECT_LE(bounded.cellCacheStats().entries, 1);
-    EXPECT_GT(bounded.cellCacheStats().evictions, 0);
+    const common::CacheStats bounded_cells =
+        bounded.evaluator().breakdownCacheStats();
+    EXPECT_LE(bounded_cells.entries, 1);
+    EXPECT_GT(bounded_cells.evictions, 0);
 }
 
 TEST_F(TrainerSimTest, CellMemoIsBitIdenticalAcrossEvalThreads)
 {
     // StepEvaluator batches simulate concurrently, so worker threads
-    // hit one simulator's cell memo at the same time.
+    // hit one simulator's breakdown memo at the same time.
     const auto graph = model::ComputeGraph::transformer(
         model::modelByName("GPT-3 6.7B"));
     auto plans = candidatePlans(graph);
@@ -265,7 +269,7 @@ TEST_F(TrainerSimTest, FaultChangeFlushesLayoutsAndCells)
         model::modelByName("GPT-3 6.7B"));
     const ParallelSpec plan = spec(2, 4, 1, 2);
     ASSERT_TRUE(sim_.simulate(graph, plan).feasible);
-    EXPECT_GT(sim_.cellCacheStats().entries, 0);
+    EXPECT_GT(sim_.evaluator().breakdownCacheStats().entries, 0);
 
     hw::FaultMap faults(wafer_.dieCount(), wafer_.topology().linkCount());
     faults.setCoreFaultFraction(0, 1.0);
@@ -273,8 +277,8 @@ TEST_F(TrainerSimTest, FaultChangeFlushesLayoutsAndCells)
     for (hw::LinkId link = 0; link < 12; ++link)
         faults.failLink(link);
     wafer_.setFaults(faults);
-    EXPECT_EQ(sim_.cellCacheStats().entries, 0);
-    EXPECT_EQ(sim_.layoutCache().cacheStats().entries, 0);
+    EXPECT_EQ(sim_.evaluator().breakdownCacheStats().entries, 0);
+    EXPECT_EQ(sim_.evaluator().layoutCache().cacheStats().entries, 0);
 
     const PerfReport degraded = sim_.simulate(graph, plan);
     TrainingSimulator fresh(
